@@ -2,7 +2,8 @@
 # CI for the ASAP reproduction. Run from the repo root:
 #
 #   ./ci.sh              # full pass: fmt, clippy, release build, tests,
-#                        # doc, end-to-end smoke scenarios via the asap CLI
+#                        # doc, end-to-end smoke scenarios via the asap CLI,
+#                        # the perfbench tests and a short run per workload
 #   ./ci.sh --quick      # only the CLI dispatch + smoke scenarios
 #                        # (fast driver-regression check, ~seconds)
 #   ASAP_QUICK=1 ./ci.sh # full gates, reduced simulation windows
@@ -141,6 +142,26 @@ smoke() {
     rm -f "$trace_tmp"
 }
 
+perfbench_gate() {
+    # The benchmark package (its own Cargo workspace under perfbench/)
+    # links the workspace crates by path, so only building and running it
+    # here catches a change that breaks a public name it uses. Each
+    # workload runs briefly at the reference seed; the binary exits 0
+    # even when its digest gate fails, so the verdict is read off the
+    # last line it prints.
+    local manifest=perfbench/Cargo.toml
+    run cargo test --release -q --offline --manifest-path "$manifest"
+    for workload in isolated_1c shared_fabric warm_replay; do
+        echo
+        echo "==> perfbench --workload $workload --seed 42 --seconds 2 --trace 0"
+        last="$(cargo run --release -q --offline --manifest-path "$manifest" -- \
+            --workload "$workload" --seed 42 --seconds 2 --trace 0 | tail -n 1)"
+        echo "$last"
+        echo "$last" | grep -q '"correct": true' \
+            || { echo "perfbench gate FAILED: $workload did not report \"correct\": true"; exit 1; }
+    done
+}
+
 if [[ "${1:-}" == "--quick" ]]; then
     lint_gate
     smoke
@@ -165,6 +186,7 @@ lint_gate
 # statically; this checks manifest <-> runtime).
 run $ASAP metrics-manifest --check
 smoke
+perfbench_gate
 
 # Scale-out gate: the quick-tier smp_scaling sweep covers every backend
 # at 1..=64 cores. The event-queue scheduler keeps arbitration O(log n),

@@ -154,7 +154,7 @@ fn page_walk(c: &mut Criterion) {
 fn driver_loop(c: &mut Criterion) {
     use asap_core::{Mmu, MmuConfig, TranslationEngine};
     use asap_os::AsapOsConfig;
-    use asap_sim::{run_scenario, RunMeta, SimConfig};
+    use asap_sim::{run_cores, CoreSlot, RunMeta, SimConfig};
     use asap_types::ByteSize;
     use asap_workloads::WorkloadSpec;
 
@@ -172,16 +172,21 @@ fn driver_loop(c: &mut Criterion) {
     let mut mmu = Mmu::new(MmuConfig::default().with_seed(sim.seed));
     TranslationEngine::load_context(&mut mmu, &process);
     let meta = RunMeta {
-        workload: "bench".into(),
         label: "bench".into(),
         sim,
-        colocated: false,
         perfect_tlb: false,
     };
     g.bench_function("batched_epoch", |b| {
         b.iter(|| {
             let mut stream = w.build_stream(&process, sim.seed ^ 0x11);
-            run_scenario(&mut mmu, &mut process, stream.as_mut(), &meta).unwrap()
+            let mut slots = [CoreSlot {
+                engine: &mut mmu,
+                machine: &mut process,
+                stream: stream.as_mut(),
+                workload: "bench".into(),
+                corunner: None,
+            }];
+            run_cores(&mut slots, &meta, None).unwrap()
         })
     });
 

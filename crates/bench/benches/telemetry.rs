@@ -11,7 +11,7 @@
 use asap_cache::{CacheHierarchy, HierarchyConfig};
 use asap_core::{Mmu, MmuConfig, TranslationEngine};
 use asap_os::AsapOsConfig;
-use asap_sim::{run_scenario, run_scenario_observed, RunMeta, SimConfig};
+use asap_sim::{run_cores, CoreSlot, RunMeta, SimConfig};
 use asap_telemetry::TraceSink;
 use asap_types::{Asid, ByteSize, CacheLineAddr};
 use asap_workloads::WorkloadSpec;
@@ -43,16 +43,21 @@ fn disabled_path(c: &mut Criterion) {
     let mut mmu = Mmu::new(MmuConfig::default().with_seed(sim.seed));
     TranslationEngine::load_context(&mut mmu, &process);
     let meta = RunMeta {
-        workload: "bench".into(),
         label: "bench".into(),
         sim,
-        colocated: false,
         perfect_tlb: false,
     };
     g.bench_function("batched_epoch", |b| {
         b.iter(|| {
             let mut stream = w.build_stream(&process, sim.seed ^ 0x11);
-            run_scenario(&mut mmu, &mut process, stream.as_mut(), &meta).unwrap()
+            let mut slots = [CoreSlot {
+                engine: &mut mmu,
+                machine: &mut process,
+                stream: stream.as_mut(),
+                workload: "bench".into(),
+                corunner: None,
+            }];
+            run_cores(&mut slots, &meta, None).unwrap()
         })
     });
     g.finish();
@@ -70,10 +75,8 @@ fn enabled_path(c: &mut Criterion) {
     let mut mmu = Mmu::new(MmuConfig::default().with_seed(sim.seed));
     TranslationEngine::load_context(&mut mmu, &process);
     let meta = RunMeta {
-        workload: "bench".into(),
         label: "bench".into(),
         sim,
-        colocated: false,
         perfect_tlb: false,
     };
     // One epoch with a live ring buffer: the honest price of `--trace`.
@@ -81,8 +84,14 @@ fn enabled_path(c: &mut Criterion) {
         b.iter(|| {
             mmu.set_tracer(TraceSink::default());
             let mut stream = w.build_stream(&process, sim.seed ^ 0x11);
-            let r = run_scenario_observed(&mut mmu, &mut process, stream.as_mut(), &meta, None)
-                .unwrap();
+            let mut slots = [CoreSlot {
+                engine: &mut mmu,
+                machine: &mut process,
+                stream: stream.as_mut(),
+                workload: "bench".into(),
+                corunner: None,
+            }];
+            let r = run_cores(&mut slots, &meta, None).unwrap();
             black_box(mmu.take_tracer());
             r
         })

@@ -22,11 +22,10 @@
 //! behind a green exit), 2 on usage errors.
 
 use asap_bench::{
-    execute_scenarios_cached, paper_scenarios, render, report_errors, results_tier, sim_config,
-    write_results_json,
+    paper_scenarios, render, report_errors, results_tier, sim_config, write_results_json,
 };
 use asap_core::NestedAsapConfig;
-use asap_sim::scenarios::{find, registry, smoke_set, Scenario, ScenarioResults};
+use asap_sim::scenarios::{find, registry, run_scenarios, smoke_set, Scenario, ScenarioResults};
 use asap_sim::{CacheHandle, CacheStats, EngineSelect, RunSpec, SimConfig, Table, TelemetryConfig};
 use asap_telemetry::{chrome, ChromeEvent, Collect as _, MetricSet, PhaseProfile};
 use asap_workloads::WorkloadSpec;
@@ -456,7 +455,7 @@ fn execute_and_report(set: &[Scenario], cli: &Cli, default_json: Option<&str>) -
     }
     let start = std::time::Instant::now();
     let cache = open_cache(cli);
-    let results = execute_scenarios_cached(set, sim_config(cli.quick), cache.as_ref());
+    let results = run_scenarios(set, sim_config(cli.quick), cache.as_ref());
     for (scenario, result) in set.iter().zip(&results) {
         for t in render(scenario, result) {
             println!("{}", t.render());

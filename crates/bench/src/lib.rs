@@ -21,12 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use asap_sim::scenarios::{
-    registry, run_scenarios_cached, RendererKind, Scenario, ScenarioResults,
-};
-use asap_sim::{
-    fmt_cycles, fmt_pct, fmt_ratio, parallel_map, CacheHandle, RunResult, SimConfig, Table,
-};
+use asap_sim::scenarios::{registry, RendererKind, Scenario, ScenarioResults};
+use asap_sim::{fmt_cycles, fmt_pct, fmt_ratio, parallel_map, RunResult, SimConfig, Table};
 use asap_types::PtLevel;
 use asap_workloads::WorkloadSpec;
 
@@ -95,50 +91,6 @@ pub fn paper_scenarios() -> Vec<Scenario> {
 #[must_use]
 pub fn experiment_names() -> Vec<&'static str> {
     paper_scenarios().into_iter().map(|s| s.name).collect()
-}
-
-/// Executes a scenario set, honouring each scenario's own declared
-/// windows ([`Scenario::default_windows`]) and falling back to `fallback`
-/// for the rest. Scenarios sharing windows run as one flattened parallel
-/// fan-out; results come back in the input order.
-#[must_use]
-pub fn execute_scenarios(set: &[Scenario], fallback: SimConfig) -> Vec<ScenarioResults> {
-    execute_scenarios_cached(set, fallback, None)
-}
-
-/// [`execute_scenarios`] with an optional content-addressed result cache:
-/// when `cache` is `Some`, each run is looked up by its
-/// [`asap_sim::RunSpec`] cache key before simulating (hits decode the
-/// stored result byte-identically), and the fan-out is scheduled
-/// longest-expected-first from the cache's cost profile. `None` is the
-/// plain uncached fan-out.
-#[must_use]
-pub fn execute_scenarios_cached(
-    set: &[Scenario],
-    fallback: SimConfig,
-    cache: Option<&CacheHandle>,
-) -> Vec<ScenarioResults> {
-    let mut groups: Vec<(SimConfig, Vec<usize>)> = Vec::new();
-    for (i, s) in set.iter().enumerate() {
-        let sim = s.windows_or(fallback);
-        match groups.iter_mut().find(|(g, _)| *g == sim) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((sim, vec![i])),
-        }
-    }
-    let mut out: Vec<Option<ScenarioResults>> = set.iter().map(|_| None).collect();
-    for (sim, idxs) in groups {
-        let subset: Vec<Scenario> = idxs.iter().map(|&i| set[i].clone()).collect();
-        for (results, &i) in run_scenarios_cached(&subset, sim, cache)
-            .into_iter()
-            .zip(&idxs)
-        {
-            out[i] = Some(results);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("every scenario lands in exactly one group"))
-        .collect()
 }
 
 /// Prints every collected driver error to stderr and returns how many
@@ -863,7 +815,7 @@ mod tests {
             ..SimConfig::default()
         };
         let scenarios = registry();
-        let all = run_scenarios(&scenarios, sim);
+        let all = run_scenarios(&scenarios, sim, None);
         for (scenario, results) in scenarios.iter().zip(&all) {
             assert!(results.is_complete(), "{} had errors", scenario.name);
             let tables = render(scenario, results);
@@ -877,7 +829,12 @@ mod tests {
     #[test]
     fn smoke_scenario_renders_a_table_per_run() {
         let scenario = find("smoke").unwrap();
-        let results = scenario.run(SimConfig::smoke_test());
+        let results = run_scenarios(
+            std::slice::from_ref(&scenario),
+            SimConfig::smoke_test(),
+            None,
+        )
+        .remove(0);
         let tables = render(&scenario, &results);
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), results.runs.len());
@@ -886,19 +843,20 @@ mod tests {
     #[test]
     fn execute_scenarios_honours_declared_windows() {
         // smoke declares miniature windows; table2 enumerates no runs. The
-        // grouped execution must keep input order and use the declared
-        // windows (the committed smoke numbers pin the window size).
+        // execution must keep input order and use the declared windows
+        // (the committed smoke numbers pin the window size).
         let set: Vec<Scenario> = registry()
             .into_iter()
             .filter(|s| s.name == "table2" || s.name == "smoke")
             .collect();
-        let results = execute_scenarios(&set, SimConfig::default());
+        let results = run_scenarios(&set, SimConfig::default(), None);
         assert_eq!(results[0].name, "table2");
         assert_eq!(results[1].name, "smoke");
-        let direct = find("smoke").unwrap().run(SimConfig::smoke_test());
-        for (a, b) in results[1].runs.iter().zip(direct.runs.iter()) {
+        let direct = find("smoke").unwrap().runs(SimConfig::smoke_test());
+        assert_eq!(results[1].runs.len(), direct.len());
+        for (a, b) in results[1].runs.iter().zip(&direct) {
             assert_eq!(a.variant, b.variant);
-            assert_eq!(a.result.cycles, b.result.cycles);
+            assert_eq!(a.result.cycles, b.spec.run().unwrap().cycles);
         }
     }
 

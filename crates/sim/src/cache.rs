@@ -1,5 +1,5 @@
 //! Content-addressed caching of run results: the canonical [`RunSpec`]
-//! byte encoding, the engine fingerprint, and [`RunSpec::run_cached`].
+//! byte encoding, the engine fingerprint, and [`RunSpec::run_split_cached`].
 //!
 //! # Key derivation
 //!
@@ -32,7 +32,7 @@
 
 use crate::codec;
 use crate::driver::DriverError;
-use crate::{EngineSelect, MachineSelect, RunOutput, RunResult, RunSpec};
+use crate::{EngineSelect, MachineSelect, RunOutput, RunSpec};
 use asap_store::{CacheHandle, CacheKey};
 use asap_types::{PageSize, PtLevel};
 
@@ -242,16 +242,6 @@ impl RunSpec {
         Ok((output, Some(elapsed_nanos)))
     }
 
-    /// Cache-aware [`RunSpec::run`]: the aggregate row of
-    /// [`RunSpec::run_split_cached`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`RunSpec::run`]'s errors; the cache adds none.
-    pub fn run_cached(&self, cache: &CacheHandle) -> Result<RunResult, DriverError> {
-        self.run_split_cached(cache).map(|o| o.aggregate)
-    }
-
     /// Runs the spec and measures its wall-clock (the executor's cost
     /// hint — advisory only, never part of any reported statistic).
     pub(crate) fn run_split_timed(&self) -> Result<(RunOutput, u64), DriverError> {
@@ -376,8 +366,8 @@ mod tests {
         let cache = CacheHandle::open(&scratch.0).unwrap();
         let spec = smoke_spec();
         let direct = spec.run().unwrap();
-        let cold = spec.run_cached(&cache).unwrap();
-        let warm = spec.run_cached(&cache).unwrap();
+        let cold = spec.run_split_cached(&cache).unwrap().aggregate;
+        let warm = spec.run_split_cached(&cache).unwrap().aggregate;
         assert_eq!(cold, direct, "cold cached run matches a direct run");
         assert_eq!(warm, direct, "warm cached run matches a direct run");
         assert_eq!(cache.stats().hits(), 1);
@@ -404,10 +394,10 @@ mod tests {
         let cache = CacheHandle::open(&scratch.0).unwrap();
         let spec = smoke_spec();
         cache.put(&spec.cache_key(), b"not a payload").unwrap();
-        let out = spec.run_cached(&cache).unwrap();
+        let out = spec.run_split_cached(&cache).unwrap().aggregate;
         assert_eq!(out, spec.run().unwrap());
         // The fresh run overwrote the corrupt entry; next lookup decodes.
-        let again = spec.run_cached(&cache).unwrap();
+        let again = spec.run_split_cached(&cache).unwrap().aggregate;
         assert_eq!(again, out);
     }
 }

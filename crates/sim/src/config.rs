@@ -520,15 +520,9 @@ impl RunSpec {
     /// workload/machine pairing.
     pub fn run_split(&self) -> Result<RunOutput, DriverError> {
         self.validate()?;
-        if self.cores > 1 {
-            return crate::smp::run_smp(self);
-        }
-        match (&self.machine, &self.engine) {
-            (MachineSelect::Native, EngineSelect::Victima | EngineSelect::Revelator) => {
-                crate::contender::run_contender(self)
-            }
-            (MachineSelect::Native, _) => crate::native::run_native(self),
-            (MachineSelect::Virt { .. }, _) => crate::virt::run_virt(self),
+        match self.machine {
+            MachineSelect::Native => crate::smp::run_smp(self),
+            MachineSelect::Virt { host_page_size } => crate::virt::run_virt(self, host_page_size),
         }
     }
 }

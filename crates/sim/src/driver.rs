@@ -17,9 +17,9 @@
 //! boundary. With one core the loop degenerates into exactly the classic
 //! single-core driver, which is what pins the engine-parity goldens.
 //!
-//! [`run_scenario`] is the single-core entry point the machine-assembly
-//! modules call; `run_native`, `run_virt` and `run_contender` are thin
-//! wrappers that assemble one core, and `smp.rs` assembles N.
+//! [`run_cores`] is the one driver entry point. The machine assemblies
+//! reach it through one shared drive tail: `smp.rs` builds every native
+//! machine (N ≥ 1 cores) and `virt.rs` the one-core virtualized machine.
 //!
 //! A misconfigured scenario — a workload stream escaping its VMAs, a
 //! machine that cannot translate a touched page — surfaces as a typed
@@ -152,22 +152,14 @@ impl std::error::Error for DriverError {
 }
 
 /// Everything the generic driver needs besides the per-core slots:
-/// window sizes, the co-runner switch, the perfect-TLB switch, and the
-/// labels stamped onto each [`RunResult`].
+/// window sizes, the perfect-TLB switch, and the configuration label
+/// stamped onto each [`RunResult`].
 #[derive(Debug, Clone)]
 pub struct RunMeta {
-    /// The workload's name (stamped onto the result). Owned, because
-    /// multi-core runs stamp dynamically composed per-core names
-    /// ("mc80@core0").
-    pub workload: String,
     /// The configuration label (stamped onto the result).
     pub label: String,
     /// Window sizes and seeding.
     pub sim: SimConfig,
-    /// Whether the legacy single-core SMT co-runner shim is active (see
-    /// [`run_scenario`]). Multi-core colocation runs the co-runner as a
-    /// real core instead and ignores this flag.
-    pub colocated: bool,
     /// Table 6 methodology: translation is free ("no page walks"); the
     /// engine still serves data accesses and the clock still advances.
     pub perfect_tlb: bool,
@@ -189,8 +181,9 @@ pub struct CoreSlot<'a, E: TranslationEngine> {
     /// cache lines per reference instead of executing as a real core. Kept
     /// **only** because the committed engine-parity goldens and the
     /// smoke-tier `BENCH_results.json` pin the single-core `coloc` rows to
-    /// this injection model; multi-core runs model the neighbor as an
-    /// ordinary workload on its own core and leave this `None`.
+    /// this injection model: a colocated 1-core machine puts it on core 0.
+    /// Multi-core runs model the neighbor as an ordinary workload on its
+    /// own core and leave this `None`.
     pub corunner: Option<CoRunner>,
 }
 
@@ -198,9 +191,9 @@ pub struct CoreSlot<'a, E: TranslationEngine> {
 /// arbitration events (a per-event-core trace track) and the
 /// warmup/measure wall-clock split for the simulator self-profile.
 ///
-/// Machine assemblies construct one only when the spec enables telemetry;
-/// [`run_cores`] itself passes `None`, so with telemetry off every hook
-/// compiles to a never-taken `Option` branch on the hot path.
+/// Machine assemblies construct one only when the spec enables telemetry
+/// and pass `None` to [`run_cores`] otherwise, so with telemetry off every
+/// hook compiles to a never-taken `Option` branch on the hot path.
 #[derive(Debug)]
 pub struct DriverObserver {
     /// Arbitration events across every core (`record_for` stamps the
@@ -270,7 +263,9 @@ struct CoreAccounting {
 /// rescans every core per access with [`sched::linear_scan`] — an
 /// independent implementation of the same order that serves as the oracle
 /// schedule. Every engine must already be constructed (over one shared
-/// fabric for N > 1) and context-loaded.
+/// fabric for N > 1) and context-loaded. `obs`, when `Some`, records the
+/// scheduler events and the warmup/measure wall split; `None` leaves
+/// every hook branch untaken.
 ///
 /// # Errors
 ///
@@ -278,20 +273,6 @@ struct CoreAccounting {
 /// outside its VMAs, a touched page fails to translate, or the slot list
 /// is empty (a machine needs at least one core).
 pub fn run_cores<E: TranslationEngine>(
-    cores: &mut [CoreSlot<'_, E>],
-    meta: &RunMeta,
-) -> Result<Vec<RunResult>, DriverError> {
-    run_cores_observed(cores, meta, None)
-}
-
-/// [`run_cores`] with observation hooks: `Some` records scheduler events
-/// and the warmup/measure wall split into the observer; `None` is the
-/// plain driver with every hook branch never taken.
-///
-/// # Errors
-///
-/// Same contract as [`run_cores`].
-pub fn run_cores_observed<E: TranslationEngine>(
     cores: &mut [CoreSlot<'_, E>],
     meta: &RunMeta,
     obs: Option<&mut DriverObserver>,
@@ -461,57 +442,6 @@ fn step_core<E: TranslationEngine>(
     Ok(())
 }
 
-/// Runs one **single-core** scenario over any translation engine — the
-/// entry point the native/virt/contender machine assemblies use, and a
-/// one-core special case of [`run_cores`].
-///
-/// When `meta.colocated` is set, the SMT co-runner runs through the legacy
-/// out-of-band line-injection shim (see [`CoreSlot::corunner`]): the
-/// engine-parity goldens and the committed smoke rows pin that model for
-/// single-core runs. Multi-core colocation instead schedules the
-/// co-runner as a real core (see `smp.rs`).
-///
-/// # Errors
-///
-/// Returns a [`DriverError`] when the workload generates an address outside
-/// its VMAs or a touched page fails to translate — misconfigurations
-/// reported to the caller rather than panicking mid-fan-out.
-pub fn run_scenario<E: TranslationEngine>(
-    engine: &mut E,
-    machine: &mut E::Machine,
-    stream: &mut dyn AccessStream,
-    meta: &RunMeta,
-) -> Result<RunResult, DriverError> {
-    run_scenario_observed(engine, machine, stream, meta, None)
-}
-
-/// [`run_scenario`] with observation hooks (see [`run_cores_observed`]).
-///
-/// # Errors
-///
-/// Same contract as [`run_scenario`].
-pub fn run_scenario_observed<E: TranslationEngine>(
-    engine: &mut E,
-    machine: &mut E::Machine,
-    stream: &mut dyn AccessStream,
-    meta: &RunMeta,
-    obs: Option<&mut DriverObserver>,
-) -> Result<RunResult, DriverError> {
-    let corunner = meta
-        .colocated
-        .then(|| CoRunner::memory_intensive(meta.sim.seed ^ 0xC0));
-    let mut slots = [CoreSlot {
-        engine,
-        machine,
-        stream,
-        workload: meta.workload.clone(),
-        corunner,
-    }];
-    Ok(run_cores_observed(&mut slots, meta, obs)?
-        .pop()
-        .expect("one core in, one result out"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,12 +453,27 @@ mod tests {
 
     fn meta(sim: SimConfig) -> RunMeta {
         RunMeta {
-            workload: "test".into(),
             label: "direct".into(),
             sim,
-            colocated: false,
             perfect_tlb: false,
         }
+    }
+
+    /// Drives one core (no co-runner, no observer) and returns its row.
+    fn run_one<E: TranslationEngine>(
+        engine: &mut E,
+        machine: &mut E::Machine,
+        stream: &mut dyn AccessStream,
+        meta: &RunMeta,
+    ) -> Result<RunResult, DriverError> {
+        let mut slots = [CoreSlot {
+            engine,
+            machine,
+            stream,
+            workload: "test".into(),
+            corunner: None,
+        }];
+        run_cores(&mut slots, meta, None).map(|mut rows| rows.remove(0))
     }
 
     #[test]
@@ -539,7 +484,7 @@ mod tests {
         let mut stream = w.build_stream(&process, sim.seed ^ 0x11);
         let mut mmu = Mmu::new(MmuConfig::default().with_seed(sim.seed));
         TranslationEngine::load_context(&mut mmu, &process);
-        let r = run_scenario(&mut mmu, &mut process, stream.as_mut(), &meta(sim)).unwrap();
+        let r = run_one(&mut mmu, &mut process, stream.as_mut(), &meta(sim)).unwrap();
         assert!(r.walks.count() > 100);
         assert_eq!(r.faults, 0);
         assert!(r.host_served.is_none());
@@ -561,7 +506,7 @@ mod tests {
         let mut stream = w.build_stream(vm.guest(), sim.seed ^ 0x11);
         let mut mmu = NestedMmu::new(NestedMmuConfig::default().with_seed(sim.seed));
         TranslationEngine::load_context(&mut mmu, &vm);
-        let r = run_scenario(&mut mmu, &mut vm, stream.as_mut(), &meta(sim)).unwrap();
+        let r = run_one(&mut mmu, &mut vm, stream.as_mut(), &meta(sim)).unwrap();
         assert!(r.walks.count() > 100);
         assert!(r.host_served.is_some());
     }
@@ -575,7 +520,7 @@ mod tests {
         let mut mmu = Mmu::new(MmuConfig::default().with_seed(sim.seed));
         let mut m = meta(sim);
         m.perfect_tlb = true;
-        let r = run_scenario(&mut mmu, &mut process, stream.as_mut(), &m).unwrap();
+        let r = run_one(&mut mmu, &mut process, stream.as_mut(), &m).unwrap();
         assert_eq!(r.walks.count(), 0);
         assert_eq!(r.walk_cycles, 0);
         assert_eq!(r.l2_tlb_accesses, 0);
@@ -597,7 +542,7 @@ mod tests {
         let sim = SimConfig::smoke_test();
         let mut process = small().build_process(Asid(1), AsapOsConfig::disabled(), sim.seed);
         let mut mmu = Mmu::new(MmuConfig::default().with_seed(sim.seed));
-        let err = run_scenario(&mut mmu, &mut process, &mut WildStream, &meta(sim)).unwrap_err();
+        let err = run_one(&mut mmu, &mut process, &mut WildStream, &meta(sim)).unwrap_err();
         match err.kind {
             DriverErrorKind::StreamEscapedVma { va, source } => {
                 assert_eq!(va, VirtAddr::new(0x1234_5678_0000).unwrap());
@@ -613,7 +558,7 @@ mod tests {
     #[test]
     fn zero_cores_is_a_spec_error_not_a_panic() {
         let mut slots: [CoreSlot<'_, Mmu>; 0] = [];
-        let err = run_cores(&mut slots, &meta(SimConfig::smoke_test())).unwrap_err();
+        let err = run_cores(&mut slots, &meta(SimConfig::smoke_test()), None).unwrap_err();
         assert_eq!(
             err,
             DriverError::incompatible_spec("a machine needs at least one core")
@@ -668,7 +613,7 @@ mod tests {
                 corunner: None,
             })
             .collect();
-        let results = run_cores(&mut slots, &meta(sim)).unwrap();
+        let results = run_cores(&mut slots, &meta(sim), None).unwrap();
         assert_eq!(results.len(), 2);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.workload, format!("test@core{i}"));
@@ -720,7 +665,9 @@ mod tests {
                     corunner: None,
                 })
                 .collect();
-            run_cores(&mut slots, &meta(sim)).unwrap()[0].walks.mean()
+            run_cores(&mut slots, &meta(sim), None).unwrap()[0]
+                .walks
+                .mean()
         };
 
         let alone = run_with_neighbors(1);

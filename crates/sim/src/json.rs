@@ -11,26 +11,8 @@
 
 use crate::scenarios::ScenarioResults;
 use crate::RunResult;
+use asap_telemetry::metrics::escape;
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` as a JSON number (finite values only; the metrics
 /// emitted here are ratios and means, never NaN/inf).
@@ -622,10 +604,10 @@ impl<'a> Parser<'a> {
 /// # Examples
 ///
 /// ```
-/// use asap_sim::scenarios::find;
+/// use asap_sim::scenarios::{find, run_scenarios};
 /// use asap_sim::{results_to_json, BenchDoc, SimConfig};
 ///
-/// let results = [find("smoke").unwrap().run(SimConfig::smoke_test())];
+/// let results = run_scenarios(&[find("smoke").unwrap()], SimConfig::default(), None);
 /// let json = results_to_json(&results, "smoke");
 /// assert!(json.starts_with('{'));
 /// assert!(json.contains("\"scenario\": \"smoke\""));
@@ -740,16 +722,22 @@ mod tests {
 
     #[test]
     fn parse_round_trips_byte_identically() {
-        let json = results_to_json(&sample(), "smoke");
-        let doc = BenchDoc::parse(&json).unwrap();
-        assert_eq!(doc.schema_version, 1);
-        assert_eq!(doc.tier, "smoke");
-        assert_eq!(doc.scenarios.len(), 1);
-        let run = &doc.scenarios[0].runs[0];
-        assert_eq!(run.label, "Baseline \"quoted\"");
-        assert_eq!(run.walks, 1);
-        assert!((run.avg_walk_latency - 100.0).abs() < 1e-12);
-        assert_eq!(doc.to_json(), json, "re-emit must be byte-identical");
+        // The second label's tab and carriage return leave the writer as
+        // `\u0009` / `\u000d` escapes, which the parser must accept.
+        for label in ["Baseline \"quoted\"", "tab\tand\rcarriage return"] {
+            let mut results = sample();
+            results[0].runs[0].result.label = label.into();
+            let json = results_to_json(&results, "smoke");
+            let doc = BenchDoc::parse(&json).unwrap();
+            assert_eq!(doc.schema_version, 1);
+            assert_eq!(doc.tier, "smoke");
+            assert_eq!(doc.scenarios.len(), 1);
+            let run = &doc.scenarios[0].runs[0];
+            assert_eq!(run.label, label);
+            assert_eq!(run.walks, 1);
+            assert!((run.avg_walk_latency - 100.0).abs() < 1e-12);
+            assert_eq!(doc.to_json(), json, "re-emit must be byte-identical");
+        }
     }
 
     #[test]

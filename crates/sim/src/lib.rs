@@ -8,12 +8,14 @@
 //! * [`RunSpec`] — the ONE unified run specification: `workload ×`
 //!   [`EngineSelect`] `×` [`MachineSelect`] `× cores × knobs`, executed
 //!   with [`RunSpec::run`] / [`RunSpec::run_split`] (machine assembly is
-//!   internal dispatch; `cores > 1` builds N engines over one shared
-//!   memory fabric and returns per-core plus aggregate rows);
-//! * [`run_cores`] / [`run_scenario`] — the one generic cycle-interleaved
-//!   driver loop, over any [`asap_core::TranslationEngine`];
+//!   internal dispatch: every native machine, 1 core or N, is N engines
+//!   over one shared memory fabric, and `cores > 1` returns per-core plus
+//!   aggregate rows);
+//! * [`run_cores`] — the one generic cycle-interleaved driver loop, over
+//!   any [`asap_core::TranslationEngine`];
 //! * [`scenarios`] — the declarative registry naming every paper
-//!   experiment as a workload × engine × machine cross product;
+//!   experiment as a workload × engine × machine cross product, executed
+//!   with [`scenarios::run_scenarios`];
 //! * [`parallel_map`] — deterministic fan-out of independent runs across
 //!   host threads;
 //! * [`Table`] / [`results_to_json`] / [`BenchDoc`] — the markdown
@@ -41,7 +43,6 @@
 mod cache;
 mod codec;
 mod config;
-mod contender;
 mod cycles;
 mod driver;
 mod json;
@@ -61,10 +62,7 @@ pub use cache::{engine_fingerprint, SIM_SEMVER};
 pub use codec::{decode_payload, encode_payload, result_from_json, result_to_json, CODEC_VERSION};
 pub use config::{EngineSelect, MachineSelect, RunSpec, SimConfig, MAX_CORES, MAX_NUMA_NODES};
 pub use cycles::{CPU_WORK_CYCLES_PER_ACCESS, INSTRUCTIONS_PER_ACCESS};
-pub use driver::{
-    run_cores, run_cores_observed, run_scenario, run_scenario_observed, CoreSlot, DriverError,
-    DriverErrorKind, DriverObserver, RunMeta,
-};
+pub use driver::{run_cores, CoreSlot, DriverError, DriverErrorKind, DriverObserver, RunMeta};
 pub use json::{results_to_json, BenchDoc, BenchError, BenchRun, BenchScenario, JsonParseError};
 pub use parallel::{parallel_map, parallel_map_prioritized};
 pub use report::{fmt_cycles, fmt_pct, fmt_ratio, Table};

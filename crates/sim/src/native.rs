@@ -1,16 +1,19 @@
-//! Native machine assembly: builds a [`Mmu`] + `Process` for a unified
-//! [`RunSpec`] whose machine axis is native and whose engine axis is the
-//! baseline or ASAP, and hands it to the generic `run_scenario` loop.
-//! Reached only through [`RunSpec::run`]'s internal dispatch.
+//! Native engine configuration: the per-core MMU and OS policy a
+//! [`RunSpec`]'s engine axis selects on a native machine. The machine
+//! itself — one core or N over a shared fabric — is assembled in
+//! `smp.rs`; this module's tests pin the 1-core native runs of every
+//! engine (baseline, ASAP, and the Victima/Revelator contenders).
 
-use crate::driver::{run_scenario_observed, DriverError, RunMeta};
-use crate::observe::RunObserver;
-use crate::{EngineSelect, RunOutput, RunSpec};
-use asap_core::{AsapHwConfig, Mmu, MmuConfig, TranslationEngine};
-use asap_os::{AsapOsConfig, Process};
-use asap_types::Asid;
+use crate::{EngineSelect, RunSpec};
+use asap_core::{AsapHwConfig, MmuConfig};
+use asap_os::AsapOsConfig;
+use asap_types::PtLevel;
 
-/// The hardware prefetch levels the engine axis selects (baseline = off).
+/// The hardware prefetch levels the engine axis selects. Baseline and the
+/// contenders prefetch nothing, so their processes get no ASAP
+/// reservations: Victima is OS-transparent and Revelator consumes the
+/// speculation hint the stock OS already publishes, which keeps their data
+/// placement and page tables identical to the baseline's.
 pub(crate) fn hw_asap(spec: &RunSpec) -> AsapHwConfig {
     match &spec.engine {
         EngineSelect::Asap(cfg) => cfg.clone(),
@@ -18,23 +21,22 @@ pub(crate) fn hw_asap(spec: &RunSpec) -> AsapHwConfig {
     }
 }
 
-/// Derives the OS-side ASAP configuration from the hardware levels: the OS
-/// reserves sorted regions exactly for the levels hardware will prefetch.
-pub(crate) fn os_asap(asap: &AsapHwConfig) -> AsapOsConfig {
-    if asap.is_enabled() {
+/// The OS-side ASAP configuration for the levels hardware prefetches: the
+/// OS reserves sorted regions exactly for those levels (none = disabled).
+pub(crate) fn os_asap(levels: &[PtLevel]) -> AsapOsConfig {
+    if levels.is_empty() {
+        AsapOsConfig::disabled()
+    } else {
         AsapOsConfig {
-            levels: asap.levels.clone(),
+            levels: levels.to_vec(),
             max_descriptors: 16,
             extension_failure_rate: 0.0,
         }
-    } else {
-        AsapOsConfig::disabled()
     }
 }
 
 /// The MMU configuration the spec's knobs select, seeded with `seed` (the
-/// per-core seed on SMP machines). Shared with the SMP assembly so a
-/// 1-core and an N-core machine build bit-identical per-core MMUs.
+/// per-core seed).
 pub(crate) fn mmu_config(spec: &RunSpec, seed: u64) -> MmuConfig {
     let mut config = MmuConfig::default()
         .with_asap(hw_asap(spec))
@@ -46,51 +48,10 @@ pub(crate) fn mmu_config(spec: &RunSpec, seed: u64) -> MmuConfig {
     config
 }
 
-/// Runs one native baseline/ASAP configuration and returns its
-/// measurements.
-///
-/// Builds the process (with the spec's paging mode threaded straight into
-/// the process configuration), workload stream and MMU, then delegates to
-/// [`run_scenario`].
-pub(crate) fn run_native(spec: &RunSpec) -> Result<RunOutput, DriverError> {
-    let mut obs = RunObserver::begin(spec.telemetry);
-    let workload = spec.effective_workload();
-    let seed = spec.sim.seed;
-    let mut process = Process::new(
-        workload
-            .process_config(Asid(1), os_asap(&hw_asap(spec)), seed)
-            .with_paging_mode(spec.paging_mode),
-    );
-    let mut stream = workload.build_stream(&process, seed ^ 0x11);
-    let mut mmu = Mmu::new(mmu_config(spec, seed));
-    TranslationEngine::load_context(&mut mmu, &process);
-    let meta = RunMeta {
-        workload: spec.workload.name.into(),
-        label: spec.label(),
-        sim: spec.sim,
-        colocated: spec.colocated,
-        perfect_tlb: spec.perfect_tlb,
-    };
-    obs.arm(std::slice::from_mut(&mut mmu));
-    let result = run_scenario_observed(
-        &mut mmu,
-        &mut process,
-        stream.as_mut(),
-        &meta,
-        obs.driver_mut(),
-    )?;
-    let telemetry = obs.finish(
-        std::slice::from_mut(&mut mmu),
-        std::slice::from_ref(&meta.workload),
-        meta.sim.measure_accesses,
-    );
-    Ok(RunOutput::single(result).with_telemetry(telemetry))
-}
-
 #[cfg(test)]
 mod tests {
     use crate::scenarios::smoke_workload as small;
-    use crate::{RunSpec, SimConfig};
+    use crate::{EngineSelect, RunSpec, SimConfig};
     use asap_core::AsapHwConfig;
 
     #[test]
@@ -163,6 +124,79 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let spec = RunSpec::new(small()).with_sim(SimConfig::smoke_test());
+        let a = spec.run().unwrap();
+        let b = spec.run().unwrap();
+        assert_eq!(a.walks, b.walks);
+        assert_eq!(a.cycles, b.cycles);
+    }
+
+    #[test]
+    fn victima_run_produces_walks_and_no_faults() {
+        let spec = RunSpec::new(small())
+            .with_engine(EngineSelect::Victima)
+            .with_sim(SimConfig::smoke_test());
+        let r = spec.run().unwrap();
+        assert!(r.walks.count() > 100);
+        assert_eq!(r.faults, 0);
+        assert_eq!(r.label, "Victima");
+    }
+
+    #[test]
+    fn victima_eliminates_walks_versus_baseline() {
+        // A zipfian workload whose hot set exceeds S-TLB reach but fits the
+        // L2's block capacity — the regime Victima targets. Uniform sweeps
+        // (stock mc80) have too little page reuse for blocks to matter.
+        let w = asap_workloads::WorkloadSpec {
+            footprint: asap_types::ByteSize::mib(256),
+            ..asap_workloads::WorkloadSpec::redis()
+        };
+        let sim = SimConfig::smoke_test();
+        let base = RunSpec::new(w.clone()).with_sim(sim).run().unwrap();
+        let victima = RunSpec::new(w)
+            .with_engine(EngineSelect::Victima)
+            .with_sim(sim)
+            .run()
+            .unwrap();
+        assert!(
+            victima.walks.count() < base.walks.count(),
+            "Victima blocks must absorb misses: {} !< {}",
+            victima.walks.count(),
+            base.walks.count()
+        );
+    }
+
+    #[test]
+    fn revelator_speculates_and_beats_baseline_cycles() {
+        // A high-contiguity variant: hash speculation verifies ~80% of the
+        // time, so the overlapped data fetches must show up as fewer total
+        // cycles. (On fragmented workloads like stock mc80 the mechanism
+        // degrades gracefully — covered by the scenario matrix.)
+        let w = asap_workloads::WorkloadSpec {
+            data_cluster_fraction: 0.8,
+            ..small()
+        };
+        let sim = SimConfig::smoke_test();
+        let base = RunSpec::new(w.clone()).with_sim(sim).run().unwrap();
+        let rev = RunSpec::new(w)
+            .with_engine(EngineSelect::Revelator)
+            .with_sim(sim)
+            .run()
+            .unwrap();
+        assert!(rev.prefetches_issued > 0, "speculative fetches must issue");
+        // Walk latencies are untouched; the win is overlapped data fetch.
+        assert!(
+            rev.cycles < base.cycles,
+            "Revelator {} !< baseline {} cycles",
+            rev.cycles,
+            base.cycles
+        );
+    }
+
+    #[test]
+    fn contender_runs_are_deterministic() {
+        let spec = RunSpec::new(small())
+            .with_engine(EngineSelect::Victima)
+            .with_sim(SimConfig::smoke_test());
         let a = spec.run().unwrap();
         let b = spec.run().unwrap();
         assert_eq!(a.walks, b.walks);

@@ -2,8 +2,8 @@
 //! spanning the machine-assembly (setup), drive (warmup + measure) and
 //! harvest (flush) phases.
 //!
-//! The observer is deliberately phase-shaped so every machine assembly —
-//! native, virtualized, contender, SMP — follows the same four calls:
+//! The observer is deliberately phase-shaped so both machine assemblies —
+//! native (any core count) and virtualized — follow the same four calls:
 //! [`RunObserver::begin`] before building anything, [`RunObserver::arm`]
 //! once the engines exist (installs per-core trace sinks and starts the
 //! driver observer), the driver itself via [`RunObserver::driver_mut`],
@@ -53,7 +53,7 @@ impl RunObserver {
         }
     }
 
-    /// The driver-loop hooks, to pass into `run_cores_observed`.
+    /// The driver-loop hooks, to pass into `run_cores`.
     pub(crate) fn driver_mut(&mut self) -> Option<&mut DriverObserver> {
         self.driver.as_mut()
     }
@@ -61,6 +61,8 @@ impl RunObserver {
     /// The run is done: harvests per-core traces (labelled by `names`),
     /// collects every engine's metrics (prefixed `core{i}_` on multi-core
     /// machines), and folds the scheduler track and phase timings in.
+    /// `measure_accesses` is the machine-wide measured count — every
+    /// core's window — so the profiled rate is the whole machine's.
     pub(crate) fn finish<E: TranslationEngine>(
         mut self,
         engines: &mut [E],

@@ -24,13 +24,13 @@
 //! Running a registered scenario:
 //!
 //! ```
-//! use asap_sim::scenarios::{find, registry};
+//! use asap_sim::scenarios::{find, registry, run_scenarios};
 //! use asap_sim::SimConfig;
 //!
 //! assert!(registry().iter().any(|s| s.name == "fig3"));
 //! let smoke = find("smoke").unwrap();
-//! let results = smoke.run(SimConfig::smoke_test());
-//! assert!(results.get("mc80", "native/baseline").walks.count() > 0);
+//! let results = run_scenarios(&[smoke], SimConfig::default(), None);
+//! assert!(results[0].get("mc80", "native/baseline").walks.count() > 0);
 //! ```
 //!
 //! Declaring a new one (~10 lines — this is the whole recipe):
@@ -425,14 +425,6 @@ impl Scenario {
         }
         out
     }
-
-    /// Executes every run across host threads and collects the results.
-    #[must_use]
-    pub fn run(&self, sim: SimConfig) -> ScenarioResults {
-        run_scenarios(std::slice::from_ref(self), sim)
-            .pop()
-            .expect("one scenario in, one result set out")
-    }
 }
 
 /// The measurements of one scenario run.
@@ -526,30 +518,28 @@ impl ScenarioResults {
     }
 }
 
-/// Runs several scenarios as ONE flattened parallel fan-out (better load
-/// balancing than nesting `parallel_map` per scenario), preserving order.
+/// Runs a scenario set as ONE flattened parallel fan-out (better load
+/// balancing than one fan-out per scenario) and returns its results in
+/// input order. Each scenario runs at its declared windows
+/// ([`Scenario::windows_or`]), falling back to `fallback`.
+///
+/// With a `cache`, each run first probes the content-addressed store
+/// ([`crate::RunSpec::run_split_cached`]), the fan-out executes
+/// longest-expected-first using the cache's advisory cost profile
+/// (unknown costs schedule first — the conservative choice for
+/// stragglers), and observed wall-clocks are folded back into the
+/// profile afterwards. Results are identical either way — the cache
+/// stores byte-exact payloads and the schedule order never influences
+/// any statistic.
 #[must_use]
-pub fn run_scenarios(scenarios: &[Scenario], sim: SimConfig) -> Vec<ScenarioResults> {
-    run_scenarios_cached(scenarios, sim, None)
-}
-
-/// [`run_scenarios`] with an optional result cache: each run first probes
-/// the content-addressed store ([`crate::RunSpec::run_split_cached`]),
-/// the fan-out executes longest-expected-first using the cache's
-/// advisory cost profile (unknown costs schedule first — the
-/// conservative choice for stragglers), and observed wall-clocks are
-/// folded back into the profile afterwards. With `cache: None` this is
-/// exactly [`run_scenarios`]. Results are identical either way — the
-/// cache stores byte-exact payloads and the schedule order never
-/// influences any statistic.
-#[must_use]
-pub fn run_scenarios_cached(
+pub fn run_scenarios(
     scenarios: &[Scenario],
-    sim: SimConfig,
+    fallback: SimConfig,
     cache: Option<&asap_store::CacheHandle>,
 ) -> Vec<ScenarioResults> {
     let mut flat: Vec<(usize, ScenarioRun)> = Vec::new();
     for (i, s) in scenarios.iter().enumerate() {
+        let sim = s.windows_or(fallback);
         flat.extend(s.runs(sim).into_iter().map(|r| (i, r)));
     }
     let done = match cache {
@@ -1044,6 +1034,11 @@ fn smoke() -> Scenario {
 mod tests {
     use super::*;
 
+    /// Runs the registered scenario `name` at smoke windows.
+    fn run_named(name: &str) -> ScenarioResults {
+        run_scenarios(&[find(name).unwrap()], SimConfig::smoke_test(), None).remove(0)
+    }
+
     #[test]
     fn registry_names_are_unique_and_complete() {
         let reg = registry();
@@ -1154,7 +1149,7 @@ mod tests {
 
     #[test]
     fn smp_smoke_scenario_produces_per_core_rows() {
-        let results = find("smp_smoke").unwrap().run(SimConfig::smoke_test());
+        let results = run_named("smp_smoke");
         // 3 engines × {1c, 2c} + the explicit coloc row.
         assert_eq!(results.runs.len(), 7);
         assert!(results.per_core("mc80", "Baseline+1c").is_empty());
@@ -1195,7 +1190,7 @@ mod tests {
 
     #[test]
     fn numa_smoke_scenario_splits_the_fabric() {
-        let results = find("numa_smoke").unwrap().run(SimConfig::smoke_test());
+        let results = run_named("numa_smoke");
         // 2 engines × {1n, 2n}, all at 4 cores.
         assert_eq!(results.runs.len(), 4);
         assert!(results.is_complete());
@@ -1216,7 +1211,7 @@ mod tests {
 
     #[test]
     fn smoke_scenario_runs_end_to_end() {
-        let results = find("smoke").unwrap().run(SimConfig::smoke_test());
+        let results = run_named("smoke");
         assert_eq!(results.runs.len(), 8);
         let base = results.get("mc80", "native/baseline");
         let asap = results.get("mc80", "native/asap");
@@ -1237,14 +1232,14 @@ mod tests {
             .into_iter()
             .filter(|s| s.name == "smoke" || s.name == "table2")
             .collect();
-        let all = run_scenarios(&set, sim);
+        let all = run_scenarios(&set, sim, None);
         assert_eq!(all.len(), 2);
         let smoke = all.iter().find(|r| r.name == "smoke").unwrap();
         let table2 = all.iter().find(|r| r.name == "table2").unwrap();
         assert_eq!(smoke.runs.len(), 8);
         assert!(table2.runs.is_empty(), "table2 is an analytic scenario");
         // Grouped results match a per-scenario run exactly.
-        let direct = find("smoke").unwrap().run(sim);
+        let direct = run_scenarios(&[find("smoke").unwrap()], sim, None).remove(0);
         for (a, b) in smoke.runs.iter().zip(direct.runs.iter()) {
             assert_eq!(a.variant, b.variant);
             assert_eq!(a.result.walks, b.result.walks);

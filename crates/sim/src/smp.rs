@@ -1,19 +1,23 @@
-//! SMP machine assembly: builds N per-core engines over ONE shared
-//! [`SharedFabric`] for a unified [`RunSpec`] whose `cores` axis exceeds
-//! one, and hands them to the cycle-interleaved [`run_cores`] driver.
-//! Reached only through [`RunSpec::run_split`]'s internal dispatch.
+//! The native machine assembly — the only one, for every core count
+//! N ≥ 1: builds N per-core engines over ONE shared [`SharedFabric`] for
+//! a unified [`RunSpec`] on a native machine and hands them to [`drive`],
+//! the drive tail the virtualized assembly shares. Reached only through
+//! [`RunSpec::run_split`]'s internal dispatch.
 //!
 //! Core 0 always runs the spec's workload. Cores 1..N run workload copies
 //! (isolation — the homogeneous-scaling question) or, when the spec is
-//! colocated, the [`WorkloadSpec::corunner`] preset as a *real* core —
-//! replacing the single-core out-of-band line-injection shim with honest
-//! contention: the neighbor takes its own TLB misses and walks on the
-//! shared hierarchy.
+//! colocated, the [`WorkloadSpec::corunner`] preset as a *real* core: the
+//! neighbor takes its own TLB misses and walks on the shared hierarchy.
+//! A colocated 1-core machine has no second core, so its co-runner is the
+//! legacy out-of-band line-injection shim on core 0's slot (see
+//! [`CoreSlot::corunner`]).
 //!
 //! Every core gets its own process (distinct ASID, hence a disjoint
-//! physical window — see `asap_os::PhysMap`), its own derived seed, and a
-//! bit-identical per-core MMU configuration to the single-core machine's;
-//! only the fabric is shared.
+//! physical window — see `asap_os::PhysMap`), its own derived seed, and
+//! the same MMU configuration; only the fabric is shared. Core 0 keeps
+//! the run's own seed and ASID 1, so at N = 1 the assembly is exactly the
+//! classic single-core paper machine, and its row is named after the
+//! plain workload with no per-core breakdown.
 //!
 //! When the spec's `numa_nodes` axis exceeds one, this module also lays
 //! the NUMA topology: cores go to nodes round-robin by index, and every
@@ -23,17 +27,16 @@
 //! receives a [`SharedFabric::for_node`] handle stamped with its core's
 //! node.
 
-use crate::driver::{run_cores_observed, CoreSlot, DriverError, RunMeta};
+use crate::driver::{run_cores, CoreSlot, DriverError, RunMeta};
 use crate::native::{hw_asap, mmu_config, os_asap};
 use crate::observe::RunObserver;
-use crate::{EngineSelect, RunOutput, RunResult, RunSpec};
+use crate::{EngineSelect, RunOutput, RunSpec};
 use asap_cache::{HierarchyConfig, NumaConfig, SharedFabric};
 use asap_contenders::{RevelatorConfig, RevelatorMmu, VictimaConfig, VictimaMmu};
 use asap_core::{Mmu, TranslationEngine};
 use asap_os::{PhysMap, Process};
-use asap_telemetry::RunTelemetry;
 use asap_types::{Asid, CacheLineAddr};
-use asap_workloads::{BoxedStream, WorkloadSpec};
+use asap_workloads::{BoxedStream, CoRunner, WorkloadSpec};
 
 /// Derives core `i`'s seed from the run seed. Core 0 keeps the run seed
 /// unchanged, so its process and stream are bit-identical to the
@@ -43,8 +46,10 @@ fn core_seed(seed: u64, core: usize) -> u64 {
 }
 
 /// Core `i`'s ASID: the kernel keeps ASID 0, cores count up from 1.
+/// `RunSpec::validate` caps the core count at `MAX_CORES`, so the
+/// narrowing is exact.
 fn core_asid(core: usize) -> Asid {
-    Asid(1 + u16::try_from(core).expect("cores <= 64"))
+    Asid(1 + core as u16)
 }
 
 /// The first cache line of a physical frame (a 4 KiB frame spans 64
@@ -53,24 +58,34 @@ fn frame_line(frame: asap_types::PhysFrameNum) -> CacheLineAddr {
     CacheLineAddr::new(frame.raw() << 6)
 }
 
-/// Context-loads every engine, zips the per-core pieces into driver
-/// slots, runs the interleaved loop, and harvests the machine's
-/// telemetry.
-fn drive<E: TranslationEngine<Machine = Process>>(
+/// The drive tail every machine assembly shares: context-loads each
+/// engine on its machine, zips the per-core pieces into driver slots,
+/// runs the interleaved loop, and harvests the telemetry. A colocated
+/// 1-core machine carries the co-runner shim on core 0's slot. One core
+/// yields a plain row; N cores yield per-core rows plus the merged
+/// aggregate.
+pub(crate) fn drive<E: TranslationEngine>(
+    spec: &RunSpec,
     mut engines: Vec<E>,
-    processes: &mut [Process],
+    machines: &mut [E::Machine],
     streams: &mut [BoxedStream],
     names: &[String],
-    meta: &RunMeta,
     mut obs: RunObserver,
-) -> Result<(Vec<RunResult>, Option<RunTelemetry>), DriverError> {
-    for (engine, process) in engines.iter_mut().zip(processes.iter()) {
-        TranslationEngine::load_context(engine, process);
+) -> Result<RunOutput, DriverError> {
+    for (engine, machine) in engines.iter_mut().zip(machines.iter()) {
+        TranslationEngine::load_context(engine, machine);
     }
     obs.arm(&mut engines);
+    let meta = RunMeta {
+        label: spec.label(),
+        sim: spec.sim,
+        perfect_tlb: spec.perfect_tlb,
+    };
+    let mut shim = (spec.colocated && engines.len() == 1)
+        .then(|| CoRunner::memory_intensive(spec.sim.seed ^ 0xC0));
     let mut slots: Vec<CoreSlot<'_, E>> = engines
         .iter_mut()
-        .zip(processes.iter_mut())
+        .zip(machines.iter_mut())
         .zip(streams.iter_mut())
         .zip(names)
         .map(|(((engine, machine), stream), name)| CoreSlot {
@@ -78,17 +93,27 @@ fn drive<E: TranslationEngine<Machine = Process>>(
             machine,
             stream: stream.as_mut(),
             workload: name.clone(),
-            corunner: None,
+            corunner: shim.take(),
         })
         .collect();
-    let per_core = run_cores_observed(&mut slots, meta, obs.driver_mut())?;
+    let per_core = run_cores(&mut slots, &meta, obs.driver_mut())?;
     drop(slots);
-    let telemetry = obs.finish(&mut engines, names, meta.sim.measure_accesses);
-    Ok((per_core, telemetry))
+    let measured = spec.sim.measure_accesses * engines.len() as u64;
+    let telemetry = obs.finish(&mut engines, names, measured);
+    let output = match <[_; 1]>::try_from(per_core) {
+        Ok([row]) => RunOutput::single(row),
+        // A colocated aggregate blends the neighbor's counters into the
+        // row; compose the name so nobody reads the blend as the workload
+        // alone.
+        Err(per_core) if spec.colocated => {
+            RunOutput::aggregate_of(&format!("{}+corunner", spec.workload.name), per_core)
+        }
+        Err(per_core) => RunOutput::aggregate_of(spec.workload.name, per_core),
+    };
+    Ok(output.with_telemetry(telemetry))
 }
 
-/// Runs one multi-core configuration: N cores, one fabric, per-core plus
-/// aggregate measurements.
+/// Runs one native configuration: N ≥ 1 cores, one fabric.
 pub(crate) fn run_smp(spec: &RunSpec) -> Result<RunOutput, DriverError> {
     let obs = RunObserver::begin(spec.telemetry);
     let n = spec.cores;
@@ -110,18 +135,16 @@ pub(crate) fn run_smp(spec: &RunSpec) -> Result<RunOutput, DriverError> {
     let names: Vec<String> = core_workloads
         .iter()
         .enumerate()
-        .map(|(i, w)| {
-            if nodes > 1 {
-                format!("{}@core{i}n{}", w.name, core_node(i))
-            } else {
-                format!("{}@core{i}", w.name)
-            }
+        .map(|(i, w)| match (n, nodes) {
+            (1, _) => w.name.to_string(),
+            (_, 1) => format!("{}@core{i}", w.name),
+            _ => format!("{}@core{i}n{}", w.name, core_node(i)),
         })
         .collect();
 
     // Every core runs the same OS policy (an SMP machine has one kernel):
     // ASAP reservations exist exactly for the levels hardware prefetches.
-    let os = os_asap(&hw_asap(spec));
+    let os = os_asap(&hw_asap(spec).levels);
     let mut processes: Vec<Process> = Vec::with_capacity(n);
     let mut streams: Vec<BoxedStream> = Vec::with_capacity(n);
     for (i, w) in core_workloads.iter().enumerate() {
@@ -134,13 +157,6 @@ pub(crate) fn run_smp(spec: &RunSpec) -> Result<RunOutput, DriverError> {
         processes.push(process);
     }
 
-    let meta = RunMeta {
-        workload: spec.workload.name.into(),
-        label: spec.label(),
-        sim: spec.sim,
-        colocated: spec.colocated,
-        perfect_tlb: spec.perfect_tlb,
-    };
     // The machine-wide fabric, built ONCE from the SAME hierarchy config
     // the per-core engine constructor would use — one source of truth, so
     // a 1-core and an N-core run of the same spec simulate the same
@@ -168,69 +184,57 @@ pub(crate) fn run_smp(spec: &RunSpec) -> Result<RunOutput, DriverError> {
             }
         }
     }
-    let (per_core, telemetry) = match &spec.engine {
+    let port = |i: usize| fabric.for_node(core_node(i));
+    match &spec.engine {
         EngineSelect::Victima => drive(
+            spec,
             (0..n)
                 .map(|i| {
                     VictimaMmu::with_fabric(
                         VictimaConfig::default().with_seed(core_seed(seed, i)),
-                        fabric.for_node(core_node(i)),
+                        port(i),
                     )
                 })
                 .collect(),
             &mut processes,
             &mut streams,
             &names,
-            &meta,
             obs,
-        )?,
+        ),
         EngineSelect::Revelator => drive(
+            spec,
             (0..n)
                 .map(|i| {
                     RevelatorMmu::with_fabric(
                         RevelatorConfig::default().with_seed(core_seed(seed, i)),
-                        fabric.for_node(core_node(i)),
+                        port(i),
                     )
                 })
                 .collect(),
             &mut processes,
             &mut streams,
             &names,
-            &meta,
             obs,
-        )?,
+        ),
         // Baseline / ASAP (nested engines are rejected by validation on
-        // native machines, and cores > 1 requires a native machine).
+        // native machines).
         _ => drive(
+            spec,
             (0..n)
-                .map(|i| {
-                    Mmu::with_fabric(
-                        mmu_config(spec, core_seed(seed, i)),
-                        fabric.for_node(core_node(i)),
-                    )
-                })
-                .collect::<Vec<Mmu>>(),
+                .map(|i| Mmu::with_fabric(mmu_config(spec, core_seed(seed, i)), port(i)))
+                .collect(),
             &mut processes,
             &mut streams,
             &names,
-            &meta,
             obs,
-        )?,
-    };
-    // A colocated aggregate blends the neighbor's counters into the row;
-    // compose the name so nobody reads the blend as the workload alone.
-    let aggregate_name = if spec.colocated {
-        format!("{}+corunner", spec.workload.name)
-    } else {
-        spec.workload.name.to_string()
-    };
-    Ok(RunOutput::aggregate_of(&aggregate_name, per_core).with_telemetry(telemetry))
+        ),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::scenarios::smoke_workload as small;
-    use crate::{EngineSelect, RunSpec, SimConfig};
+    use crate::{EngineSelect, RunSpec, SimConfig, TelemetryConfig};
     use asap_core::AsapHwConfig;
 
     #[test]
@@ -363,6 +367,30 @@ mod tests {
             assert_eq!(x.walks, y.walks);
             assert_eq!(x.cycles, y.cycles);
         }
+    }
+
+    /// The profiled rate covers the whole machine: every core's measured
+    /// window counts, and the 1-core co-runner shim's injected lines do
+    /// not.
+    #[test]
+    fn profile_counts_every_cores_measured_accesses() {
+        let sim = SimConfig::smoke_test();
+        let measured = |spec: RunSpec| {
+            let profiled = spec.with_sim(sim).with_telemetry(TelemetryConfig {
+                profile: true,
+                ..TelemetryConfig::off()
+            });
+            let out = profiled.run_split().unwrap();
+            out.telemetry.unwrap().profile.unwrap().measure_accesses
+        };
+        assert_eq!(
+            measured(RunSpec::new(small()).with_cores(4)),
+            4 * sim.measure_accesses
+        );
+        assert_eq!(
+            measured(RunSpec::new(small()).colocated()),
+            sim.measure_accesses
+        );
     }
 
     #[test]

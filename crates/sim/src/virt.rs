@@ -1,13 +1,14 @@
 //! Virtualized machine assembly: builds a [`NestedMmu`] +
 //! `VirtualMachine` for a unified [`RunSpec`] whose machine axis is
-//! virtualized, and hands it to the generic `run_scenario` loop. Reached
-//! only through [`RunSpec::run`]'s internal dispatch.
+//! virtualized, and hands it to the drive tail the native assembly
+//! shares. Reached only through [`RunSpec::run`]'s internal dispatch.
 
-use crate::driver::{run_scenario_observed, DriverError, RunMeta};
+use crate::driver::DriverError;
+use crate::native::os_asap;
 use crate::observe::RunObserver;
-use crate::{EngineSelect, MachineSelect, RunOutput, RunSpec};
-use asap_core::{NestedAsapConfig, NestedMmu, NestedMmuConfig, TranslationEngine};
-use asap_os::AsapOsConfig;
+use crate::smp::drive;
+use crate::{EngineSelect, RunOutput, RunSpec};
+use asap_core::{NestedAsapConfig, NestedMmu, NestedMmuConfig};
 use asap_types::{Asid, PageSize};
 use asap_virt::{EptConfig, VirtualMachine};
 
@@ -19,31 +20,19 @@ fn nested_asap(spec: &RunSpec) -> NestedAsapConfig {
     }
 }
 
-/// Runs one virtualized configuration and returns its measurements.
+/// Runs one virtualized configuration over `host_page_size` host pages
+/// and returns its measurements.
 ///
 /// The guest process runs the workload; every TLB miss triggers the full 2D
 /// walk of Fig. 7 with the configured per-dimension prefetching. The guest
 /// OS reserves sorted regions for the guest prefetch levels (negotiated
 /// with the hypervisor via the §3.6 vmcall protocol), and the hypervisor
 /// keeps the host PT levels sorted for the host prefetch levels.
-pub(crate) fn run_virt(spec: &RunSpec) -> Result<RunOutput, DriverError> {
-    let mut obs = RunObserver::begin(spec.telemetry);
+pub(crate) fn run_virt(spec: &RunSpec, host_page_size: PageSize) -> Result<RunOutput, DriverError> {
+    let obs = RunObserver::begin(spec.telemetry);
     let workload = spec.effective_workload();
     let asap = nested_asap(spec);
-    let host_page_size = match spec.machine {
-        MachineSelect::Virt { host_page_size } => host_page_size,
-        MachineSelect::Native => unreachable!("dispatch sends only virt specs here"),
-    };
     let seed = spec.sim.seed;
-    let guest_asap = if asap.guest.is_empty() {
-        AsapOsConfig::disabled()
-    } else {
-        AsapOsConfig {
-            levels: asap.guest.clone(),
-            max_descriptors: 16,
-            extension_failure_rate: 0.0,
-        }
-    };
     let mut ept_config = EptConfig {
         host_levels: asap.host.clone(),
         host_page_size,
@@ -57,28 +46,19 @@ pub(crate) fn run_virt(spec: &RunSpec) -> Result<RunOutput, DriverError> {
             .retain(|l| *l != asap_types::PtLevel::Pl1);
     }
     let guest_config = workload
-        .process_config(Asid(1), guest_asap, seed)
+        .process_config(Asid(1), os_asap(&asap.guest), seed)
         .with_compact_phys();
     let mut vm = VirtualMachine::new(guest_config, ept_config);
     let mut stream = workload.build_stream(vm.guest(), seed ^ 0x11);
-    let mut mmu = NestedMmu::new(NestedMmuConfig::default().with_asap(asap).with_seed(seed));
-    TranslationEngine::load_context(&mut mmu, &vm);
-    let meta = RunMeta {
-        workload: spec.workload.name.into(),
-        label: spec.label(),
-        sim: spec.sim,
-        colocated: spec.colocated,
-        perfect_tlb: spec.perfect_tlb,
-    };
-    obs.arm(std::slice::from_mut(&mut mmu));
-    let result =
-        run_scenario_observed(&mut mmu, &mut vm, stream.as_mut(), &meta, obs.driver_mut())?;
-    let telemetry = obs.finish(
-        std::slice::from_mut(&mut mmu),
-        std::slice::from_ref(&meta.workload),
-        meta.sim.measure_accesses,
-    );
-    Ok(RunOutput::single(result).with_telemetry(telemetry))
+    let mmu = NestedMmu::new(NestedMmuConfig::default().with_asap(asap).with_seed(seed));
+    drive(
+        spec,
+        vec![mmu],
+        std::slice::from_mut(&mut vm),
+        std::slice::from_mut(&mut stream),
+        &[spec.workload.name.into()],
+        obs,
+    )
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! every engine, machine shape and knob combination the experiments use
 //! is covered, not a hand-picked sample):
 //!
-//! * **transparency** — for any registry spec, `run_cached` returns
+//! * **transparency** — for any registry spec, `run_split_cached` returns
 //!   byte-identical results to a direct `run()`, both on the cold pass
 //!   (which populates the store) and on the warm pass (which decodes it);
 //! * **key soundness** — two specs get the same cache key exactly when
@@ -127,7 +127,7 @@ proptest! {
     // enough that the whole test stays in unit-test territory.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cold and warm `run_cached` are bit-identical to a direct `run()`,
+    /// Cold and warm `run_split_cached` are bit-identical to a direct `run()`,
     /// and the second pass is served from the store.
     #[test]
     fn cold_then_warm_run_cached_matches_direct_run(pick in 0usize..4096) {
@@ -137,8 +137,8 @@ proptest! {
         let cache = CacheHandle::open(&scratch.0).expect("temp cache dir opens");
 
         let direct = spec.run().expect("registry specs are valid");
-        let cold = spec.run_cached(&cache).expect("cold cached run succeeds");
-        let warm = spec.run_cached(&cache).expect("warm cached run succeeds");
+        let cold = spec.run_split_cached(&cache).expect("cold cached run succeeds").aggregate;
+        let warm = spec.run_split_cached(&cache).expect("warm cached run succeeds").aggregate;
 
         // Bit-identical means byte-identical serialized rows, not merely
         // equal structs — the committed BENCH_results.json drift gate

@@ -1,21 +1,25 @@
-//! Engine-parity regression test for the `TranslationEngine` refactor.
+//! Engine-parity regression test for the run path.
 //!
-//! Before `Mmu`/`NestedMmu` were rebuilt over the shared `EngineCore` and
-//! `run_native`/`run_virt` collapsed into the generic `run_scenario`
-//! driver, the pre-refactor drivers were run over a matrix of
-//! baseline/ASAP × native/virt smoke configurations and their statistics
-//! recorded below. The refactored stack must reproduce those statistics
-//! **bit-identically**: the refactor is pure code motion, so any drift is
-//! a timing-model regression, not noise.
+//! Every 1-core run — native baseline/ASAP, the Victima and Revelator
+//! contenders, and the virtualized machine — goes through one assembly
+//! path into the one generic `run_cores` driver: a native 1-core machine
+//! is the N-core assembly at N = 1, and a colocated 1-core run carries
+//! the legacy out-of-band co-runner shim on core 0. The statistics below
+//! were recorded from earlier drivers, and the current stack must
+//! reproduce them **bit-identically**: the refactors were pure code
+//! motion, so any drift is a timing-model regression, not noise.
 //!
-//! The matrix matches the registry's `smoke` scenario, so CI's end-to-end
-//! smoke pass exercises exactly the configurations pinned here.
+//! [`GOLDEN`] matches the registry's `smoke` scenario, so CI's end-to-end
+//! smoke pass exercises exactly the configurations pinned there.
+//! [`CONTENDER_GOLDEN`] pins the 1-core contender runs, isolated and
+//! colocated (no smoke row covers a colocated contender); its values were
+//! captured on commit db03770, before the contender assembly folded into
+//! the N-core one.
 
-use asap::sim::scenarios::find;
-use asap::sim::{RunResult, SimConfig};
+use asap::sim::scenarios::{find, run_scenarios, smoke_workload};
+use asap::sim::{EngineSelect, RunResult, RunSpec, SimConfig};
 
-/// The statistics captured from the pre-refactor drivers (commit 95f9ca6)
-/// with `SimConfig::smoke_test()` on the 256 MiB mc80 smoke workload.
+/// One run's pinned statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Golden {
     walks: u64,
@@ -29,6 +33,9 @@ struct Golden {
     faults: u64,
 }
 
+/// The smoke matrix (variant, golden), captured from the pre-refactor
+/// drivers (commit 95f9ca6) with `SimConfig::smoke_test()` on the 256 MiB
+/// mc80 smoke workload.
 #[rustfmt::skip]
 const GOLDEN: [(&str, Golden); 8] = [
     ("native/baseline", Golden { walks: 1922, walk_total_cycles: 117086, cycles: 876902, walk_cycles: 117086, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 0, prefetches_dropped: 0, faults: 0 }),
@@ -40,6 +47,26 @@ const GOLDEN: [(&str, Golden); 8] = [
     ("virt/asap", Golden { walks: 1922, walk_total_cycles: 477628, cycles: 1238196, walk_cycles: 477628, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 12184, prefetches_dropped: 0, faults: 0 }),
     ("virt/asap+host2m+coloc", Golden { walks: 1922, walk_total_cycles: 472458, cycles: 1235498, walk_cycles: 472458, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 8014, prefetches_dropped: 0, faults: 0 }),
 ];
+
+/// The 1-core contender runs (label, golden), captured on commit db03770
+/// with `SimConfig::smoke_test()` on the same smoke workload.
+#[rustfmt::skip]
+const CONTENDER_GOLDEN: [(&str, Golden); 4] = [
+    ("Victima", Golden { walks: 1860, walk_total_cycles: 116418, cycles: 876978, walk_cycles: 116418, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 0, prefetches_dropped: 0, faults: 0 }),
+    ("Revelator", Golden { walks: 1922, walk_total_cycles: 117686, cycles: 873358, walk_cycles: 117686, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 1922, prefetches_dropped: 0, faults: 0 }),
+    ("Victima coloc", Golden { walks: 1910, walk_total_cycles: 125914, cycles: 889070, walk_cycles: 125914, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 0, prefetches_dropped: 0, faults: 0 }),
+    ("Revelator coloc", Golden { walks: 1922, walk_total_cycles: 126198, cycles: 884694, walk_cycles: 126198, l2_tlb_misses: 1922, l2_tlb_accesses: 3068, prefetches_issued: 1922, prefetches_dropped: 0, faults: 0 }),
+];
+
+/// Runs the registry's `smoke` scenario at its pinned windows.
+fn smoke_results() -> asap::sim::scenarios::ScenarioResults {
+    run_scenarios(
+        &[find("smoke").expect("smoke scenario registered")],
+        SimConfig::smoke_test(),
+        None,
+    )
+    .remove(0)
+}
 
 fn snapshot(r: &RunResult) -> Golden {
     Golden {
@@ -59,9 +86,7 @@ fn snapshot(r: &RunResult) -> Golden {
 /// the whole engine matrix.
 #[test]
 fn refactored_drivers_match_pre_refactor_golden_stats() {
-    let results = find("smoke")
-        .expect("smoke scenario registered")
-        .run(SimConfig::smoke_test());
+    let results = smoke_results();
     assert_eq!(results.runs.len(), GOLDEN.len(), "matrix shape changed");
     for (variant, golden) in GOLDEN {
         let run = results.get("mc80", variant);
@@ -77,7 +102,7 @@ fn refactored_drivers_match_pre_refactor_golden_stats() {
 /// mean recomputed from the golden aggregates matches the live mean.
 #[test]
 fn walk_latency_means_match_golden_aggregates() {
-    let results = find("smoke").unwrap().run(SimConfig::smoke_test());
+    let results = smoke_results();
     for (variant, golden) in GOLDEN {
         let run = results.get("mc80", variant);
         let expected = if golden.walks == 0 {
@@ -89,6 +114,33 @@ fn walk_latency_means_match_golden_aggregates() {
             (run.avg_walk_latency() - expected).abs() < 1e-9,
             "{variant}: mean {} != golden {expected}",
             run.avg_walk_latency()
+        );
+    }
+}
+
+/// The 1-core contender runs, isolated and with the co-runner shim,
+/// reproduce the statistics captured before the assembly fold.
+#[test]
+fn contender_runs_match_golden_stats() {
+    for (label, golden) in CONTENDER_GOLDEN {
+        let engine = if label.starts_with("Victima") {
+            EngineSelect::Victima
+        } else {
+            EngineSelect::Revelator
+        };
+        let mut spec = RunSpec::new(smoke_workload())
+            .with_engine(engine)
+            .with_sim(SimConfig::smoke_test());
+        if label.ends_with("coloc") {
+            spec = spec.colocated();
+        }
+        let run = spec.run().expect("contender spec runs");
+        assert_eq!(run.label, label);
+        assert_eq!(run.workload, "mc80");
+        assert_eq!(
+            snapshot(&run),
+            golden,
+            "{label}: statistics drifted from the pre-fold contender assembly"
         );
     }
 }

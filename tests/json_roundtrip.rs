@@ -9,7 +9,7 @@
 //! 2. **Fresh**: results emitted from a live smoke run round-trip
 //!    byte-identically (emit → parse → re-emit).
 
-use asap::sim::scenarios::find;
+use asap::sim::scenarios::{find, run_scenarios};
 use asap::sim::{results_to_json, BenchDoc, SimConfig};
 
 fn committed_json() -> String {
@@ -57,9 +57,11 @@ fn committed_rows_carry_the_schema_fields() {
 
 #[test]
 fn fresh_emission_round_trips_byte_identically() {
-    let results = [find("smoke")
-        .expect("smoke scenario registered")
-        .run(SimConfig::smoke_test())];
+    let results = run_scenarios(
+        &[find("smoke").expect("smoke scenario registered")],
+        SimConfig::smoke_test(),
+        None,
+    );
     let json = results_to_json(&results, "smoke");
     let doc = BenchDoc::parse(&json).unwrap();
     assert_eq!(doc.to_json(), json);
