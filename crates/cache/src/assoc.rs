@@ -17,10 +17,35 @@ pub struct Eviction<K, V> {
     pub value: V,
 }
 
-#[derive(Debug, Clone)]
-struct Way<K, V> {
-    key: K,
-    value: V,
+/// One way's tag and recency stamp; a stamp of 0 marks the way invalid.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot<K> {
+    tag: K,
+    stamp: u64,
+}
+
+/// Where a fill of one key into one set goes, as found by
+/// [`SetAssoc::locate`] or a [`SetAssoc::lookup_or_fill_way`] miss: the
+/// key's own way if it is resident, else the first free way, else the LRU
+/// way. Tree-PLRU and random pick a full set's victim at fill time.
+///
+/// Valid only until the next operation on the structure that returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FillWay(Target);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    Resident(usize),
+    Way(usize),
+    Policy,
+}
+
+impl FillWay {
+    /// Whether the located key is already resident (a fill only refreshes it).
+    #[must_use]
+    pub fn is_resident(self) -> bool {
+        matches!(self.0, Target::Resident(_))
+    }
 }
 
 /// A set-associative array mapping tags `K` to payloads `V`.
@@ -29,11 +54,11 @@ struct Way<K, V> {
 /// with different address bits), while `SetAssoc` owns way management,
 /// replacement and eviction.
 ///
-/// Storage is a single set-major arena (`slots[set * ways + w]`) plus one
-/// structure-wide replacement-state array, rather than a `Vec` of per-set
-/// `Vec`s: a lookup touches one contiguous run of ways with no per-set
-/// pointer chase, which is what the simulator's hot loop spends most of its
-/// time doing.
+/// Storage is one set-major array of `{tag, stamp}` slots
+/// (`slots[set * ways + w]`) plus a payload array in the same order. The
+/// stamp is the structure clock at the way's last touch, so one pass over a
+/// set finds the key, the first free way (stamp 0) and the LRU way (least
+/// stamp) together. Tree-PLRU keeps its tree bits beside the array.
 ///
 /// # Examples
 ///
@@ -50,15 +75,17 @@ struct Way<K, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc<K, V> {
-    slots: Vec<Option<Way<K, V>>>,
-    num_sets: usize,
+    slots: Vec<Slot<K>>,
+    /// Payloads in `slots` order, sized by the first fill (`V` has no
+    /// default) and read only for valid ways. Costs nothing for `()`.
+    values: Vec<V>,
     ways: usize,
     clock: u64,
     policy: PolicyState,
     rng: SmallRng,
 }
 
-impl<K: Eq + Copy, V> SetAssoc<K, V> {
+impl<K: Eq + Copy + Default, V: Clone> SetAssoc<K, V> {
     /// Creates a structure with `num_sets` sets of `ways` ways each.
     ///
     /// `seed` makes the random replacement policy (if selected)
@@ -67,14 +94,14 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     /// # Panics
     ///
     /// Panics if `num_sets` or `ways` is zero, or if tree-PLRU is requested
-    /// with non-power-of-two `ways`.
+    /// with `ways` not a power of two up to 64.
     #[must_use]
     pub fn new(num_sets: usize, ways: usize, policy: ReplacementKind, seed: u64) -> Self {
         assert!(num_sets > 0, "need at least one set");
         assert!(ways > 0, "need at least one way");
         Self {
-            slots: (0..num_sets * ways).map(|_| None).collect(),
-            num_sets,
+            slots: vec![Slot::default(); num_sets * ways],
+            values: Vec::new(),
             ways,
             clock: 0,
             policy: PolicyState::new(policy, num_sets, ways),
@@ -85,7 +112,7 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     /// Number of sets.
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        self.num_sets
+        self.slots.len() / self.ways
     }
 
     /// Associativity.
@@ -97,7 +124,40 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     /// Total capacity in entries.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.num_sets * self.ways
+        self.slots.len()
+    }
+
+    /// Finds where a fill of `key` into `set` goes, without updating
+    /// recency: one pass over the set.
+    #[must_use]
+    pub fn locate(&self, set: usize, key: &K) -> FillWay {
+        let base = set * self.ways;
+        let (mut lru, mut min) = (0, u64::MAX);
+        for (w, slot) in self.slots[base..base + self.ways].iter().enumerate() {
+            if slot.tag == *key && slot.stamp != 0 {
+                return FillWay(Target::Resident(w));
+            }
+            if slot.stamp < min {
+                (lru, min) = (w, slot.stamp);
+            }
+        }
+        FillWay(if min == 0 || matches!(self.policy, PolicyState::Lru) {
+            Target::Way(lru)
+        } else {
+            Target::Policy
+        })
+    }
+
+    /// Looks up `key` in `set`, updating recency on a hit; a miss returns
+    /// where a fill of `key` goes (see [`SetAssoc::fill_at`]).
+    pub fn lookup_or_fill_way(&mut self, set: usize, key: &K) -> Result<&V, FillWay> {
+        match self.locate(set, key) {
+            FillWay(Target::Resident(w)) => {
+                self.touch(set, w);
+                Ok(&self.values[set * self.ways + w])
+            }
+            miss => Err(miss),
+        }
     }
 
     /// Looks up `key` in `set`, updating recency on a hit.
@@ -106,49 +166,20 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     ///
     /// Panics if `set` is out of range.
     pub fn lookup(&mut self, set: usize, key: &K) -> Option<&V> {
-        self.clock += 1;
-        let clock = self.clock;
-        let base = set * self.ways;
-        let ways = self.ways;
-        assert!(set < self.num_sets, "set {set} out of range");
-        for w in 0..ways {
-            if let Some(way) = &self.slots[base + w] {
-                if way.key == *key {
-                    self.policy.touch(set, ways, w, clock);
-                    return self.slots[base + w].as_ref().map(|way| &way.value);
-                }
-            }
-        }
-        None
+        let i = self.find_and_touch(set, key)?;
+        Some(&self.values[i])
     }
 
     /// Looks up `key` in `set` returning a mutable payload, updating recency.
     pub fn lookup_mut(&mut self, set: usize, key: &K) -> Option<&mut V> {
-        self.clock += 1;
-        let clock = self.clock;
-        let base = set * self.ways;
-        let ways = self.ways;
-        assert!(set < self.num_sets, "set {set} out of range");
-        for w in 0..ways {
-            if let Some(way) = &self.slots[base + w] {
-                if way.key == *key {
-                    self.policy.touch(set, ways, w, clock);
-                    return self.slots[base + w].as_mut().map(|way| &mut way.value);
-                }
-            }
-        }
-        None
+        let i = self.find_and_touch(set, key)?;
+        Some(&mut self.values[i])
     }
 
     /// Checks for `key` in `set` without updating replacement state.
     #[must_use]
     pub fn probe(&self, set: usize, key: &K) -> Option<&V> {
-        let base = set * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .flatten()
-            .find(|way| way.key == *key)
-            .map(|way| &way.value)
+        self.find(set, key).map(|i| &self.values[i])
     }
 
     /// Inserts `key -> value` into `set`, returning any eviction.
@@ -156,63 +187,54 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
     /// If `key` is already present its payload is replaced (no eviction is
     /// reported) and its recency refreshed.
     pub fn insert(&mut self, set: usize, key: K, value: V) -> Option<Eviction<K, V>> {
-        self.clock += 1;
-        let clock = self.clock;
-        let ways = self.ways;
-        let base = set * ways;
-        assert!(set < self.num_sets, "set {set} out of range");
-        // Hit: replace in place.
-        for w in 0..ways {
-            if let Some(way) = &mut self.slots[base + w] {
-                if way.key == key {
-                    way.value = value;
-                    self.policy.touch(set, ways, w, clock);
-                    return None;
-                }
-            }
+        let at = self.locate(set, &key);
+        self.fill_at(set, at, key, value)
+    }
+
+    /// Inserts `key -> value` into `set` at the way `at` that a
+    /// [`SetAssoc::locate`] or [`SetAssoc::lookup_or_fill_way`] of the same
+    /// key and set returned, with no operation on this structure since.
+    /// Behaves exactly as [`SetAssoc::insert`] without rescanning the set.
+    pub fn fill_at(&mut self, set: usize, at: FillWay, key: K, value: V) -> Option<Eviction<K, V>> {
+        let w = match at.0 {
+            Target::Resident(w) | Target::Way(w) => w,
+            Target::Policy => match self.policy.victim(set, self.ways, &mut self.rng) {
+                Some(w) => w,
+                None => return self.insert(set, key, value),
+            },
+        };
+        if self.values.is_empty() {
+            self.values = vec![value.clone(); self.slots.len()];
         }
-        // Free way.
-        for w in 0..ways {
-            if self.slots[base + w].is_none() {
-                self.slots[base + w] = Some(Way { key, value });
-                self.policy.touch(set, ways, w, clock);
-                return None;
-            }
-        }
-        // Evict.
-        let victim = self.policy.victim(set, ways, &mut self.rng);
-        let old = self.slots[base + victim]
-            .replace(Way { key, value })
-            .expect("victim way occupied in a full set");
-        self.policy.touch(set, ways, victim, clock);
-        Some(Eviction {
-            key: old.key,
-            value: old.value,
+        let i = set * self.ways + w;
+        let old = self.slots[i];
+        self.slots[i].tag = key;
+        self.touch(set, w);
+        let old_value = std::mem::replace(&mut self.values[i], value);
+        (old.stamp != 0 && old.tag != key).then_some(Eviction {
+            key: old.tag,
+            value: old_value,
         })
     }
 
     /// Removes `key` from `set`, returning its payload if present.
     pub fn invalidate(&mut self, set: usize, key: &K) -> Option<V> {
-        let base = set * self.ways;
-        for slot in &mut self.slots[base..base + self.ways] {
-            if slot.as_ref().is_some_and(|way| way.key == *key) {
-                return slot.take().map(|way| way.value);
-            }
-        }
-        None
+        let i = self.find(set, key)?;
+        self.slots[i].stamp = 0;
+        Some(self.values[i].clone())
     }
 
     /// Clears every entry.
     pub fn flush(&mut self) {
         for slot in &mut self.slots {
-            *slot = None;
+            slot.stamp = 0;
         }
     }
 
     /// Number of valid entries across all sets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.slots.iter().filter(|s| s.stamp != 0).count()
     }
 
     /// Whether the structure holds no entries.
@@ -226,22 +248,47 @@ impl<K: Eq + Copy, V> SetAssoc<K, V> {
         let ways = self.ways;
         self.slots
             .iter()
+            .zip(&self.values)
             .enumerate()
-            .filter_map(move |(i, slot)| slot.as_ref().map(|way| (i / ways, &way.key, &way.value)))
+            .filter(|(_, (slot, _))| slot.stamp != 0)
+            .map(move |(i, (slot, value))| (i / ways, &slot.tag, value))
     }
 
     /// Removes all entries failing `keep`, returning how many were dropped.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let mut dropped = 0;
-        for slot in &mut self.slots {
-            if let Some(way) = slot {
-                if !keep(&way.key, &way.value) {
-                    *slot = None;
-                    dropped += 1;
-                }
+        for (slot, value) in self.slots.iter_mut().zip(&self.values) {
+            if slot.stamp != 0 && !keep(&slot.tag, value) {
+                slot.stamp = 0;
+                dropped += 1;
             }
         }
         dropped
+    }
+
+    /// The slot index of `key` in `set`: a tag-only scan for the paths
+    /// that need no fill way.
+    fn find(&self, set: usize, key: &K) -> Option<usize> {
+        let base = set * self.ways;
+        let w = self.slots[base..base + self.ways]
+            .iter()
+            .position(|slot| slot.tag == *key && slot.stamp != 0)?;
+        Some(base + w)
+    }
+
+    /// [`SetAssoc::find`], touching the way found.
+    fn find_and_touch(&mut self, set: usize, key: &K) -> Option<usize> {
+        let i = self.find(set, key)?;
+        self.touch(set, i - set * self.ways);
+        Some(i)
+    }
+
+    /// Records a use of way `w` in `set`: the clock is bumped first, so a
+    /// valid way's stamp is always at least 1.
+    fn touch(&mut self, set: usize, w: usize) {
+        self.clock += 1;
+        self.slots[set * self.ways + w].stamp = self.clock;
+        self.policy.touch(set, self.ways, w);
     }
 }
 

@@ -1,6 +1,6 @@
 //! A single physical-line cache level.
 
-use crate::{CacheConfig, CacheStats, Eviction, SetAssoc};
+use crate::{CacheConfig, CacheStats, Eviction, FillWay, SetAssoc};
 use asap_types::CacheLineAddr;
 
 /// One level of the cache hierarchy, indexed by physical cache-line address.
@@ -47,24 +47,43 @@ impl Cache {
     /// Performs a demand lookup; returns whether it hit. Misses do **not**
     /// allocate — the hierarchy decides where fills go.
     pub fn access(&mut self, line: CacheLineAddr) -> bool {
+        self.lookup(line).is_ok()
+    }
+
+    /// [`Cache::access`] that on a miss returns where a fill of `line`
+    /// goes, for [`Cache::fill_at`].
+    pub(crate) fn lookup(&mut self, line: CacheLineAddr) -> Result<(), FillWay> {
         let set = self.set_of(line);
-        let hit = self.array.lookup(set, &line).is_some();
-        self.stats.record(hit);
-        hit
+        let found = self.array.lookup_or_fill_way(set, &line).map(|_| ());
+        self.stats.record(found.is_ok());
+        found
+    }
+
+    /// Where a fill of `line` goes, without disturbing replacement state or
+    /// stats.
+    #[must_use]
+    pub(crate) fn locate(&self, line: CacheLineAddr) -> FillWay {
+        self.array.locate(self.set_of(line), &line)
     }
 
     /// Checks residency without disturbing replacement state or stats.
     #[must_use]
     pub fn contains(&self, line: CacheLineAddr) -> bool {
-        self.array.probe(self.set_of(line), &line).is_some()
+        self.locate(line).is_resident()
     }
 
     /// Installs a line, returning the evicted line if any.
     pub fn fill(&mut self, line: CacheLineAddr) -> Option<CacheLineAddr> {
+        self.fill_at(line, self.locate(line))
+    }
+
+    /// Installs a line at the way a [`Cache::lookup`] or [`Cache::locate`]
+    /// of it returned, with no operation on this cache since.
+    pub(crate) fn fill_at(&mut self, line: CacheLineAddr, at: FillWay) -> Option<CacheLineAddr> {
         let set = self.set_of(line);
         self.stats.fills += 1;
         self.array
-            .insert(set, line, ())
+            .fill_at(set, at, line, ())
             .map(|Eviction { key, .. }| {
                 self.stats.evictions += 1;
                 key

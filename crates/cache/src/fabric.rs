@@ -15,8 +15,8 @@
 //! that N per-core engines reference one memory system.
 //!
 //! The fabric can further be split into **NUMA nodes**
-//! ([`MemoryFabric::configure_numa`]): physical windows register a home
-//! node round-robin, each core's handle carries its node
+//! ([`MemoryFabric::configure_numa`]): physical windows are homed on the
+//! nodes round-robin, each core's handle carries its node
 //! ([`SharedFabric::for_node`]), and a DRAM-served access whose home
 //! differs from the requester's pays an interconnect hop on top of the
 //! memory latency. Unconfigured (the default), nothing changes — the
@@ -97,15 +97,13 @@ impl asap_telemetry::Collect for NumaStats {
 }
 
 /// The NUMA side of the fabric: the topology, the physical windows with
-/// their home nodes (kept sorted and disjoint for binary search), the
-/// round-robin cursor the next registered window is assigned with, and the
+/// their home nodes (kept sorted and disjoint for binary search), and the
 /// locality counters.
 #[derive(Debug, Clone)]
 struct NumaState {
     config: NumaConfig,
     /// `(start_line, end_line, home_node)`, sorted by start.
     windows: Vec<(u64, u64, usize)>,
-    next_node: usize,
     stats: NumaStats,
 }
 
@@ -144,47 +142,39 @@ impl MemoryFabric {
         }
     }
 
-    /// Spreads the fabric's DRAM over `config.nodes` memory nodes. Windows
-    /// registered afterwards with [`MemoryFabric::assign_window`] receive
-    /// home nodes round-robin.
+    /// Spreads the fabric's DRAM over `config.nodes` memory nodes and
+    /// registers the physical windows `(start_line, lines)` on them
+    /// round-robin: window k is homed on node `k % config.nodes`. Models
+    /// default first-touch-free page placement at datacenter scale:
+    /// allocation classes spread across sockets, so every core ends up with
+    /// a deterministic mix of local and remote windows.
     ///
     /// # Panics
     ///
     /// Panics on fewer than two nodes — a one-node "topology" is uniform
-    /// memory and must stay on the unconfigured fast path.
-    pub fn configure_numa(&mut self, config: NumaConfig) {
+    /// memory and must stay on the unconfigured fast path — or when two
+    /// windows overlap.
+    pub fn configure_numa(
+        &mut self,
+        config: NumaConfig,
+        windows: impl IntoIterator<Item = (CacheLineAddr, u64)>,
+    ) {
         assert!(config.nodes >= 2, "a NUMA topology needs at least 2 nodes");
+        let mut homed: Vec<(u64, u64, usize)> = windows
+            .into_iter()
+            .enumerate()
+            .map(|(k, (start, lines))| (start.raw(), start.raw() + lines, k % config.nodes))
+            .collect();
+        homed.sort_unstable();
+        assert!(
+            homed.windows(2).all(|w| w[0].1 <= w[1].0),
+            "NUMA windows must be disjoint"
+        );
         self.numa = Some(NumaState {
             config,
-            windows: Vec::new(),
-            next_node: 0,
+            windows: homed,
             stats: NumaStats::default(),
         });
-    }
-
-    /// Registers a physical window of `lines` cache lines starting at
-    /// `start_line` and assigns it the next home node round-robin,
-    /// returning that node. Models default first-touch-free page placement
-    /// at datacenter scale: allocation classes spread across sockets, so
-    /// every core ends up with a deterministic mix of local and remote
-    /// windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`MemoryFabric::configure_numa`], or when
-    /// the window overlaps one already registered.
-    pub fn assign_window(&mut self, start_line: CacheLineAddr, lines: u64) -> usize {
-        let numa = self.numa.as_mut().expect("configure_numa first");
-        let node = numa.next_node;
-        numa.next_node = (numa.next_node + 1) % numa.config.nodes;
-        let start = start_line.raw();
-        let end = start + lines;
-        let idx = numa.windows.partition_point(|&(s, _, _)| s < start);
-        let disjoint = (idx == 0 || numa.windows[idx - 1].1 <= start)
-            && (idx == numa.windows.len() || end <= numa.windows[idx].0);
-        assert!(disjoint, "NUMA windows must be disjoint");
-        numa.windows.insert(idx, (start, end, node));
-        node
     }
 
     /// The home node of `line`, when NUMA is configured and the line falls
@@ -192,11 +182,6 @@ impl MemoryFabric {
     #[must_use]
     pub fn home_node(&self, line: CacheLineAddr) -> Option<usize> {
         self.numa.as_ref().and_then(|n| n.home_node(line))
-    }
-
-    /// A demand access issued at the caller's local cycle `now`.
-    pub fn access_at(&mut self, line: CacheLineAddr, now: u64) -> AccessResult {
-        self.access_from(line, now, 0)
     }
 
     /// A demand access issued at `now` by a core on `node`. When the line
@@ -225,18 +210,6 @@ impl MemoryFabric {
     /// lack of an MSHR.
     pub fn prefetch_at(&mut self, line: CacheLineAddr, now: u64) -> Option<u64> {
         self.hierarchy.prefetch_at(line, now)
-    }
-
-    /// Residency probe that disturbs nothing (no fills, no stats).
-    #[must_use]
-    pub fn source_of(&self, line: CacheLineAddr) -> ServedBy {
-        self.hierarchy.source_of(line)
-    }
-
-    /// L1 hit latency (the floor for any demand access).
-    #[must_use]
-    pub fn l1_latency(&self) -> u64 {
-        self.hierarchy.l1_latency()
     }
 
     /// L2 hit latency — what a cache-resident TLB-block lookup costs.
@@ -315,7 +288,10 @@ impl SharedFabric {
     /// Builds a fresh fabric from `config` and returns the first handle.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
-        MemoryFabric::new(config).into_shared()
+        Self {
+            fabric: Rc::new(RefCell::new(MemoryFabric::new(config))),
+            node: 0,
+        }
     }
 
     /// How many handles (≈ attached cores) reference this fabric.
@@ -340,25 +316,18 @@ impl SharedFabric {
         self.node
     }
 
-    /// Spreads the fabric's DRAM over NUMA nodes (see
-    /// [`MemoryFabric::configure_numa`]).
+    /// Spreads the fabric's DRAM over NUMA nodes and homes `windows` on
+    /// them round-robin (see [`MemoryFabric::configure_numa`]).
     ///
     /// # Panics
     ///
-    /// Panics on fewer than two nodes.
-    pub fn configure_numa(&self, config: NumaConfig) {
-        self.fabric.borrow_mut().configure_numa(config);
-    }
-
-    /// Registers a physical window and returns its round-robin home node
-    /// (see [`MemoryFabric::assign_window`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`SharedFabric::configure_numa`] or on an
-    /// overlapping window.
-    pub fn assign_window(&self, start_line: CacheLineAddr, lines: u64) -> usize {
-        self.fabric.borrow_mut().assign_window(start_line, lines)
+    /// Panics on fewer than two nodes or on overlapping windows.
+    pub fn configure_numa(
+        &self,
+        config: NumaConfig,
+        windows: impl IntoIterator<Item = (CacheLineAddr, u64)>,
+    ) {
+        self.fabric.borrow_mut().configure_numa(config, windows);
     }
 
     /// The home node of `line`, when registered.
@@ -381,18 +350,6 @@ impl SharedFabric {
     /// through [`SharedFabric::access_at`].
     pub fn prefetch_at(&self, line: CacheLineAddr, now: u64) -> Option<u64> {
         self.fabric.borrow_mut().prefetch_at(line, now)
-    }
-
-    /// Residency probe that disturbs nothing.
-    #[must_use]
-    pub fn source_of(&self, line: CacheLineAddr) -> ServedBy {
-        self.fabric.borrow().source_of(line)
-    }
-
-    /// L1 hit latency.
-    #[must_use]
-    pub fn l1_latency(&self) -> u64 {
-        self.fabric.borrow().l1_latency()
     }
 
     /// L2 hit latency.
@@ -446,21 +403,18 @@ impl SharedFabric {
     }
 }
 
-impl MemoryFabric {
-    /// Wraps the fabric in a shareable handle (node 0).
-    #[must_use]
-    pub fn into_shared(self) -> SharedFabric {
-        SharedFabric {
-            fabric: Rc::new(RefCell::new(self)),
-            node: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::HierarchyConfig;
+
+    /// Two adjacent 2^20-line windows, homed on nodes 0 and 1.
+    fn two_windows() -> [(CacheLineAddr, u64); 2] {
+        [
+            (CacheLineAddr::new(0), 1 << 20),
+            (CacheLineAddr::new(1 << 20), 1 << 20),
+        ]
+    }
 
     #[test]
     fn handles_share_one_hierarchy() {
@@ -487,10 +441,8 @@ mod tests {
     #[test]
     fn remote_dram_pays_the_interconnect_hop() {
         let f = SharedFabric::new(HierarchyConfig::tiny_for_tests());
-        f.configure_numa(NumaConfig::symmetric(2));
         // Two windows: round-robin puts the first on node 0, second on 1.
-        assert_eq!(f.assign_window(CacheLineAddr::new(0), 1 << 20), 0);
-        assert_eq!(f.assign_window(CacheLineAddr::new(1 << 20), 1 << 20), 1);
+        f.configure_numa(NumaConfig::symmetric(2), two_windows());
         let core1 = f.for_node(1);
         assert_eq!(core1.node(), 1);
         assert_eq!(f.node(), 0);
@@ -530,9 +482,7 @@ mod tests {
     #[test]
     fn merged_accesses_ride_the_inflight_fill_without_a_hop() {
         let f = SharedFabric::new(HierarchyConfig::tiny_for_tests());
-        f.configure_numa(NumaConfig::symmetric(2));
-        f.assign_window(CacheLineAddr::new(0), 1 << 20);
-        f.assign_window(CacheLineAddr::new(1 << 20), 1 << 20);
+        f.configure_numa(NumaConfig::symmetric(2), two_windows());
         let remote = CacheLineAddr::new((1 << 20) + 0x40);
         let completion = f.prefetch_at(remote, 0).expect("mshr available");
         let r = f.access_at(remote, completion / 2);
@@ -550,9 +500,7 @@ mod tests {
         // local_dram nor remote_dram and pay no hop. A later genuinely
         // remote demand still counts, proving the counters are armed.
         let f = SharedFabric::new(HierarchyConfig::tiny_for_tests());
-        f.configure_numa(NumaConfig::symmetric(2));
-        f.assign_window(CacheLineAddr::new(0), 1 << 20);
-        f.assign_window(CacheLineAddr::new(1 << 20), 1 << 20);
+        f.configure_numa(NumaConfig::symmetric(2), two_windows());
         let core1 = f.for_node(1);
         let local = CacheLineAddr::new(0x40); // homed on node 0
 
@@ -583,9 +531,13 @@ mod tests {
     #[should_panic(expected = "disjoint")]
     fn overlapping_numa_windows_are_rejected() {
         let f = SharedFabric::new(HierarchyConfig::tiny_for_tests());
-        f.configure_numa(NumaConfig::symmetric(2));
-        f.assign_window(CacheLineAddr::new(0), 1 << 20);
-        f.assign_window(CacheLineAddr::new(1 << 10), 1 << 20);
+        f.configure_numa(
+            NumaConfig::symmetric(2),
+            [
+                (CacheLineAddr::new(0), 1 << 20),
+                (CacheLineAddr::new(1 << 10), 1 << 20),
+            ],
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The three-level cache hierarchy plus DRAM.
 
-use crate::{Cache, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome};
+use crate::{Cache, FillWay, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome};
 use asap_types::CacheLineAddr;
 
 /// The hierarchy level that ultimately served an access — the per-request
@@ -31,15 +31,6 @@ impl core::fmt::Display for ServedBy {
             ServedBy::Memory => f.write_str("Mem"),
         }
     }
-}
-
-/// Whether an access is a demand request or an ASAP prefetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// A demand access (data reference or page-walker PT-node read).
-    Demand,
-    /// A best-effort ASAP prefetch.
-    Prefetch,
 }
 
 /// The outcome of one hierarchy access.
@@ -145,15 +136,17 @@ impl CacheHierarchy {
         if let Some((completion, _)) = self.mshrs.in_flight(line, now) {
             return Some(completion);
         }
-        if self.l1.contains(line) {
+        let l1 = self.l1.locate(line);
+        if l1.is_resident() {
             return Some(now);
         }
         // Determine where the line would come from, then move it into L1
         // (and the outer levels) with an MSHR covering the flight time.
-        let (latency, served_by) = self.probe_source(line);
+        let ways = [l1, self.l2.locate(line), self.l3.locate(line)];
+        let (latency, served_by) = self.source(ways.map(FillWay::is_resident));
         match self.mshrs.allocate(line, now, now + latency, served_by) {
             MshrOutcome::Issued { completion } | MshrOutcome::Merged { completion } => {
-                self.fill_all(line);
+                self.fill_all(line, ways);
                 self.stats.prefetch_fills += 1;
                 Some(completion)
             }
@@ -164,46 +157,46 @@ impl CacheHierarchy {
         }
     }
 
-    fn probe_source(&self, line: CacheLineAddr) -> (u64, ServedBy) {
-        if self.l1.contains(line) {
-            (self.l1.latency(), ServedBy::L1)
-        } else if self.l2.contains(line) {
-            (self.l2.latency(), ServedBy::L2)
-        } else if self.l3.contains(line) {
-            (self.l3.latency(), ServedBy::L3)
-        } else {
-            (self.memory_latency, ServedBy::Memory)
+    /// The latency and level of the first level marked resident.
+    fn source(&self, resident: [bool; 3]) -> (u64, ServedBy) {
+        match resident {
+            [true, ..] => (self.l1.latency(), ServedBy::L1),
+            [_, true, _] => (self.l2.latency(), ServedBy::L2),
+            [.., true] => (self.l3.latency(), ServedBy::L3),
+            _ => (self.memory_latency, ServedBy::Memory),
         }
     }
 
+    /// Looks `line` up level by level and, on a miss, fills each missed
+    /// level at the way its lookup found.
     fn lookup_and_fill(&mut self, line: CacheLineAddr) -> (u64, ServedBy) {
-        if self.l1.access(line) {
+        let Err(l1) = self.l1.lookup(line) else {
             self.record(0, true);
             return (self.l1.latency(), ServedBy::L1);
-        }
+        };
         self.record(0, false);
-        if self.l2.access(line) {
+        let Err(l2) = self.l2.lookup(line) else {
             self.record(1, true);
-            self.l1.fill(line);
+            self.l1.fill_at(line, l1);
             return (self.l2.latency(), ServedBy::L2);
-        }
+        };
         self.record(1, false);
-        if self.l3.access(line) {
+        let Err(l3) = self.l3.lookup(line) else {
             self.record(2, true);
-            self.l1.fill(line);
-            self.l2.fill(line);
+            self.l1.fill_at(line, l1);
+            self.l2.fill_at(line, l2);
             return (self.l3.latency(), ServedBy::L3);
-        }
+        };
         self.record(2, false);
         self.stats.memory_accesses += 1;
-        self.fill_all(line);
+        self.fill_all(line, [l1, l2, l3]);
         (self.memory_latency, ServedBy::Memory)
     }
 
-    fn fill_all(&mut self, line: CacheLineAddr) {
-        self.l1.fill(line);
-        self.l2.fill(line);
-        self.l3.fill(line);
+    fn fill_all(&mut self, line: CacheLineAddr, [l1, l2, l3]: [FillWay; 3]) {
+        self.l1.fill_at(line, l1);
+        self.l2.fill_at(line, l2);
+        self.l3.fill_at(line, l3);
     }
 
     fn record(&mut self, level: usize, hit: bool) {
@@ -218,7 +211,8 @@ impl CacheHierarchy {
     /// Residency probe that disturbs nothing (no fills, no stats).
     #[must_use]
     pub fn source_of(&self, line: CacheLineAddr) -> ServedBy {
-        self.probe_source(line).1
+        let resident = [&self.l1, &self.l2, &self.l3].map(|c| c.contains(line));
+        self.source(resident).1
     }
 
     /// Invalidates a line everywhere.
@@ -234,12 +228,6 @@ impl CacheHierarchy {
         self.l2.flush();
         self.l3.flush();
         self.mshrs.clear();
-    }
-
-    /// L1 hit latency (the floor for any demand access).
-    #[must_use]
-    pub fn l1_latency(&self) -> u64 {
-        self.l1.latency()
     }
 
     /// L2 hit latency — what a cache-resident TLB-block lookup costs.

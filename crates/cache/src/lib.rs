@@ -47,11 +47,11 @@ mod mshr;
 mod replacement;
 mod stats;
 
-pub use assoc::{Eviction, SetAssoc};
+pub use assoc::{Eviction, FillWay, SetAssoc};
 pub use cache::Cache;
 pub use config::{CacheConfig, HierarchyConfig};
 pub use fabric::{MemoryFabric, NumaConfig, NumaStats, SharedFabric, NUMA_HOP_CYCLES};
-pub use hierarchy::{AccessKind, AccessResult, CacheHierarchy, ServedBy};
+pub use hierarchy::{AccessResult, CacheHierarchy, ServedBy};
 pub use mshr::{MshrFile, MshrOutcome};
 pub use replacement::ReplacementKind;
 pub use stats::{CacheStats, HierarchyStats};

@@ -51,8 +51,12 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile {
+    /// In-flight entries; allocated at `capacity` up front, never grown.
     entries: Vec<Entry>,
     capacity: usize,
+    /// The least completion in flight (`u64::MAX` when empty): until then
+    /// there is nothing to retire.
+    earliest: u64,
 }
 
 impl MshrFile {
@@ -67,12 +71,20 @@ impl MshrFile {
         Self {
             entries: Vec::with_capacity(capacity),
             capacity,
+            earliest: u64::MAX,
         }
     }
 
     /// Retires every entry whose fill completed at or before `now`.
     pub fn retire(&mut self, now: u64) {
+        if now < self.earliest {
+            return;
+        }
         self.entries.retain(|e| e.completion > now);
+        self.earliest = self
+            .entries
+            .iter()
+            .fold(u64::MAX, |m, e| m.min(e.completion));
     }
 
     /// Looks up an in-flight entry for `line`, retiring stale entries first.
@@ -110,6 +122,7 @@ impl MshrFile {
             completion,
             source,
         });
+        self.earliest = self.earliest.min(completion);
         MshrOutcome::Issued { completion }
     }
 
@@ -128,6 +141,7 @@ impl MshrFile {
     /// Drops all in-flight entries.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.earliest = u64::MAX;
     }
 }
 

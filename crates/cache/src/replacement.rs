@@ -29,18 +29,12 @@ impl core::fmt::Display for ReplacementKind {
     }
 }
 
-/// Structure-wide replacement state, flattened across all sets: one
-/// contiguous stamp array (LRU) or bit array (tree-PLRU) instead of a heap
-/// allocation per set, so the hot lookup/insert paths touch a single cache
-/// line per set rather than chasing a per-set `Vec`.
-///
-/// Decisions are bit-identical to the old per-set representation: each
-/// set's state occupies its own `set * ways ..` slice (LRU) or `bits[set]`
-/// word (tree-PLRU), and the victim/touch logic over that slice is
-/// unchanged.
+/// Replacement state beyond the recency stamps `SetAssoc` keeps in its
+/// slots: one word of tree bits per set for tree-PLRU, nothing for LRU (its
+/// victim is the least stamp, found by the lookup's own pass) or random.
 #[derive(Debug, Clone)]
 pub(crate) enum PolicyState {
-    Lru { stamps: Vec<u64> },
+    Lru,
     TreePlru { bits: Vec<u64> },
     Random,
 }
@@ -48,13 +42,12 @@ pub(crate) enum PolicyState {
 impl PolicyState {
     pub(crate) fn new(kind: ReplacementKind, num_sets: usize, ways: usize) -> Self {
         match kind {
-            ReplacementKind::Lru => PolicyState::Lru {
-                stamps: vec![0; num_sets * ways],
-            },
+            ReplacementKind::Lru => PolicyState::Lru,
             ReplacementKind::TreePlru => {
+                // The tree of a set lives in one u64: nodes 1..ways.
                 assert!(
-                    ways.is_power_of_two(),
-                    "tree-PLRU requires power-of-two associativity, got {ways}"
+                    ways.is_power_of_two() && ways <= 64,
+                    "tree-PLRU requires power-of-two associativity up to 64, got {ways}"
                 );
                 PolicyState::TreePlru {
                     bits: vec![0; num_sets],
@@ -64,39 +57,31 @@ impl PolicyState {
         }
     }
 
-    /// Records a use of `way` in `set` at logical time `stamp`.
-    pub(crate) fn touch(&mut self, set: usize, ways: usize, way: usize, stamp: u64) {
-        match self {
-            PolicyState::Lru { stamps } => stamps[set * ways + way] = stamp,
-            PolicyState::TreePlru { bits } => {
-                // Walk from the root, flipping each internal node away from
-                // the touched way.
-                let bits = &mut bits[set];
-                let mut node = 1usize;
-                let levels = ways.trailing_zeros();
-                for level in (0..levels).rev() {
-                    let bit = (way >> level) & 1;
-                    if bit == 0 {
-                        *bits |= 1 << node; // point away: towards right
-                    } else {
-                        *bits &= !(1 << node); // point towards left
-                    }
-                    node = node * 2 + bit;
+    /// Records a use of `way` in `set`.
+    pub(crate) fn touch(&mut self, set: usize, ways: usize, way: usize) {
+        if let PolicyState::TreePlru { bits } = self {
+            // Walk from the root, flipping each internal node away from
+            // the touched way.
+            let bits = &mut bits[set];
+            let mut node = 1usize;
+            let levels = ways.trailing_zeros();
+            for level in (0..levels).rev() {
+                let bit = (way >> level) & 1;
+                if bit == 0 {
+                    *bits |= 1 << node; // point away: towards right
+                } else {
+                    *bits &= !(1 << node); // point towards left
                 }
+                node = node * 2 + bit;
             }
-            PolicyState::Random => {}
         }
     }
 
-    /// Chooses a victim way in `set` among `ways` candidates.
-    pub(crate) fn victim(&self, set: usize, ways: usize, rng: &mut SmallRng) -> usize {
+    /// Chooses a victim way in a full `set` among `ways` candidates; `None`
+    /// for LRU, whose victim the set scan already found.
+    pub(crate) fn victim(&self, set: usize, ways: usize, rng: &mut SmallRng) -> Option<usize> {
         match self {
-            PolicyState::Lru { stamps } => stamps[set * ways..(set + 1) * ways]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| **s)
-                .map(|(w, _)| w)
-                .expect("non-empty set"),
+            PolicyState::Lru => None,
             PolicyState::TreePlru { bits } => {
                 let bits = bits[set];
                 let mut node = 1usize;
@@ -107,9 +92,9 @@ impl PolicyState {
                     way = way * 2 + dir;
                     node = node * 2 + dir;
                 }
-                way
+                Some(way)
             }
-            PolicyState::Random => rng.gen_range(0..ways),
+            PolicyState::Random => Some(rng.gen_range(0..ways)),
         }
     }
 }
@@ -123,19 +108,24 @@ pub(crate) fn policy_rng(seed: u64) -> SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SetAssoc;
 
     #[test]
     fn lru_picks_least_recent() {
-        let mut p = PolicyState::new(ReplacementKind::Lru, 2, 4);
-        let mut rng = policy_rng(0);
-        for (way, t) in [(0, 10), (1, 5), (2, 20), (3, 15)] {
-            p.touch(1, 4, way, t);
+        let mut c: SetAssoc<u64, ()> = SetAssoc::new(2, 4, ReplacementKind::Lru, 0);
+        // Way w of set 1 holds key w; use the ways in the order 1, 0, 3, 2.
+        for key in 0..4 {
+            c.insert(1, key, ());
         }
-        assert_eq!(p.victim(1, 4, &mut rng), 1);
-        p.touch(1, 4, 1, 30);
-        assert_eq!(p.victim(1, 4, &mut rng), 0);
-        // The untouched set 0 is independent: all-zero stamps pick way 0.
-        assert_eq!(p.victim(0, 4, &mut rng), 0);
+        for key in [1, 0, 3, 2] {
+            c.lookup(1, &key);
+        }
+        assert_eq!(c.insert(1, 10, ()).map(|e| e.key), Some(1));
+        // Key 10 now holds way 1 as its most recent use, so way 0 goes next.
+        assert_eq!(c.insert(1, 11, ()).map(|e| e.key), Some(0));
+        // The untouched set 0 is independent: it still has free ways.
+        assert_eq!(c.insert(0, 20, ()), None);
+        assert_eq!(c.len(), 5);
     }
 
     #[test]
@@ -143,13 +133,13 @@ mod tests {
         let mut p = PolicyState::new(ReplacementKind::TreePlru, 1, 4);
         let mut rng = policy_rng(0);
         // After touching way 0, the victim must not be way 0.
-        p.touch(0, 4, 0, 1);
-        assert_ne!(p.victim(0, 4, &mut rng), 0);
+        p.touch(0, 4, 0);
+        assert_ne!(p.victim(0, 4, &mut rng), Some(0));
         // Touch everything; victim is still a valid way.
         for w in 0..4 {
-            p.touch(0, 4, w, 2);
+            p.touch(0, 4, w);
         }
-        assert!(p.victim(0, 4, &mut rng) < 4);
+        assert!(p.victim(0, 4, &mut rng).is_some_and(|w| w < 4));
     }
 
     #[test]
@@ -158,10 +148,10 @@ mod tests {
         let mut p = PolicyState::new(ReplacementKind::TreePlru, 1, 8);
         let mut rng = policy_rng(0);
         let mut seen = std::collections::HashSet::new();
-        for t in 0..8 {
-            let v = p.victim(0, 8, &mut rng);
+        for _ in 0..8 {
+            let v = p.victim(0, 8, &mut rng).unwrap();
             seen.insert(v);
-            p.touch(0, 8, v, t);
+            p.touch(0, 8, v);
         }
         assert_eq!(seen.len(), 8, "PLRU failed to cycle: {seen:?}");
     }
@@ -170,6 +160,13 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn tree_plru_rejects_non_power_of_two() {
         let _ = PolicyState::new(ReplacementKind::TreePlru, 1, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "up to 64")]
+    fn tree_plru_rejects_more_than_64_ways() {
+        // One u64 of tree bits per set: 128 ways would shift by 127.
+        let _ = PolicyState::new(ReplacementKind::TreePlru, 1, 128);
     }
 
     #[test]
@@ -184,7 +181,7 @@ mod tests {
             (0..16).map(|_| p.victim(0, 8, &mut rng)).collect()
         };
         assert_eq!(seq1, seq2);
-        assert!(seq1.iter().all(|w| *w < 8));
+        assert!(seq1.iter().all(|w| w.is_some_and(|w| w < 8)));
     }
 
     #[test]

@@ -177,12 +177,12 @@ pub(crate) fn run_smp(spec: &RunSpec) -> Result<RunOutput, DriverError> {
         // nodes, three quarters at 4), and page-table windows land remote
         // for most cores — exactly the traffic that stresses walk latency
         // at rack scale.
-        fabric.configure_numa(NumaConfig::symmetric(nodes));
-        for i in 0..n {
-            for (base, frames) in PhysMap::new(core_asid(i)).windows() {
-                fabric.assign_window(frame_line(base), frames << 6);
-            }
-        }
+        let windows = (0..n).flat_map(|i| {
+            PhysMap::new(core_asid(i))
+                .windows()
+                .map(|(base, frames)| (frame_line(base), frames << 6))
+        });
+        fabric.configure_numa(NumaConfig::symmetric(nodes), windows);
     }
     let port = |i: usize| fabric.for_node(core_node(i));
     match &spec.engine {
