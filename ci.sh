@@ -179,7 +179,9 @@ run cargo clippy --workspace --all-targets -- -D warnings \
     -A clippy::unwrap-used -A clippy::expect-used
 run cargo build --release
 run cargo test -q
-run cargo doc --no-deps --quiet
+# Broken intra-doc links are fatal, so a doc link cannot outlive the item
+# it names.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" run cargo doc --no-deps --quiet
 lint_gate
 # The committed metric-name manifest must match a live regeneration from
 # every backend (the asap-lint metric-names rule checks code <-> manifest

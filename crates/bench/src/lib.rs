@@ -98,7 +98,7 @@ pub fn experiment_names() -> Vec<&'static str> {
 /// run in a fan-out can never hide behind a green exit.
 ///
 /// Diagnostics are lint-style — `file:line: error: …` — where the anchor
-/// is the source line that raised the [`DriverError`] (captured with
+/// is the source line that raised the [`DriverError`](asap_sim::DriverError) (captured with
 /// `#[track_caller]`), so a violation in a terminal or CI log is clickable
 /// straight into the driver/spec code that rejected the run.
 pub fn report_errors<'a>(all: impl IntoIterator<Item = &'a ScenarioResults>) -> usize {

@@ -1,13 +1,14 @@
 //! A single physical-line cache level.
 
-use crate::{CacheConfig, CacheStats, Eviction, FillWay, SetAssoc};
+use crate::{CacheConfig, Eviction, FillWay, SetAssoc};
 use asap_types::CacheLineAddr;
 
 /// One level of the cache hierarchy, indexed by physical cache-line address.
 ///
 /// The model tracks tags only — the simulator never needs line *data*, since
 /// page-table contents live in `asap-pt`'s simulated physical memory and the
-/// hierarchy only decides service latency.
+/// hierarchy only decides service latency. Statistics are the hierarchy's:
+/// it counts every lookup and fill it makes on a level.
 ///
 /// # Examples
 ///
@@ -25,7 +26,6 @@ use asap_types::CacheLineAddr;
 pub struct Cache {
     config: CacheConfig,
     array: SetAssoc<CacheLineAddr, ()>,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -33,11 +33,7 @@ impl Cache {
     #[must_use]
     pub fn new(config: CacheConfig, seed: u64) -> Self {
         let array = SetAssoc::new(config.num_sets, config.ways, config.replacement, seed);
-        Self {
-            config,
-            array,
-            stats: CacheStats::default(),
-        }
+        Self { config, array }
     }
 
     fn set_of(&self, line: CacheLineAddr) -> usize {
@@ -54,19 +50,16 @@ impl Cache {
     /// goes, for [`Cache::fill_at`].
     pub(crate) fn lookup(&mut self, line: CacheLineAddr) -> Result<(), FillWay> {
         let set = self.set_of(line);
-        let found = self.array.lookup_or_fill_way(set, &line).map(|_| ());
-        self.stats.record(found.is_ok());
-        found
+        self.array.lookup_or_fill_way(set, &line).map(|_| ())
     }
 
-    /// Where a fill of `line` goes, without disturbing replacement state or
-    /// stats.
+    /// Where a fill of `line` goes, without disturbing replacement state.
     #[must_use]
     pub(crate) fn locate(&self, line: CacheLineAddr) -> FillWay {
         self.array.locate(self.set_of(line), &line)
     }
 
-    /// Checks residency without disturbing replacement state or stats.
+    /// Checks residency without disturbing replacement state.
     #[must_use]
     pub fn contains(&self, line: CacheLineAddr) -> bool {
         self.locate(line).is_resident()
@@ -81,54 +74,15 @@ impl Cache {
     /// of it returned, with no operation on this cache since.
     pub(crate) fn fill_at(&mut self, line: CacheLineAddr, at: FillWay) -> Option<CacheLineAddr> {
         let set = self.set_of(line);
-        self.stats.fills += 1;
         self.array
             .fill_at(set, at, line, ())
-            .map(|Eviction { key, .. }| {
-                self.stats.evictions += 1;
-                key
-            })
-    }
-
-    /// Removes a line if present.
-    pub fn invalidate(&mut self, line: CacheLineAddr) -> bool {
-        let set = self.set_of(line);
-        self.array.invalidate(set, &line).is_some()
-    }
-
-    /// Empties the cache (stats are preserved).
-    pub fn flush(&mut self) {
-        self.array.flush();
+            .map(|Eviction { key, .. }| key)
     }
 
     /// Hit latency in cycles.
     #[must_use]
     pub fn latency(&self) -> u64 {
         self.config.latency
-    }
-
-    /// The cache's configuration.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Number of resident lines.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.array.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.array.is_empty()
     }
 }
 
@@ -155,16 +109,17 @@ mod tests {
         let mut c = tiny();
         assert!(!c.access(CacheLineAddr::new(0)));
         assert!(!c.access(CacheLineAddr::new(0)), "still absent after miss");
-        assert_eq!(c.stats().misses, 2);
+        assert!(!c.contains(CacheLineAddr::new(0)));
     }
 
     #[test]
     fn fill_then_hit() {
         let mut c = tiny();
         let line = CacheLineAddr::new(5);
+        assert!(!c.contains(line));
         c.fill(line);
         assert!(c.access(line));
-        assert_eq!(c.stats().hits, 1);
+        assert!(c.contains(line));
     }
 
     #[test]
@@ -186,18 +141,6 @@ mod tests {
         c.fill(CacheLineAddr::new(1)); // set 1
         c.fill(CacheLineAddr::new(2)); // set 0
         c.fill(CacheLineAddr::new(3)); // set 1
-        assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn invalidate_and_flush() {
-        let mut c = tiny();
-        let line = CacheLineAddr::new(9);
-        c.fill(line);
-        assert!(c.invalidate(line));
-        assert!(!c.invalidate(line));
-        c.fill(line);
-        c.flush();
-        assert!(c.is_empty());
+        assert!((0..4).all(|i| c.contains(CacheLineAddr::new(i))));
     }
 }

@@ -1,6 +1,6 @@
 //! The three-level cache hierarchy plus DRAM.
 
-use crate::{Cache, FillWay, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome};
+use crate::{Cache, FillWay, HierarchyConfig, HierarchyStats, MshrFile, MshrOutcome, NumaConfig};
 use asap_types::CacheLineAddr;
 
 /// The hierarchy level that ultimately served an access — the per-request
@@ -45,14 +45,43 @@ pub struct AccessResult {
     pub merged: bool,
 }
 
-/// A three-level cache hierarchy with DRAM backing and an L1-D MSHR file for
-/// in-flight ASAP prefetches.
+/// The NUMA topology of a hierarchy: the physical windows with their home
+/// nodes, kept sorted and disjoint for binary search.
+#[derive(Debug, Clone)]
+struct NumaState {
+    config: NumaConfig,
+    /// `(start_line, end_line, home_node)`, sorted by start.
+    windows: Vec<(u64, u64, usize)>,
+}
+
+impl NumaState {
+    /// The home node of `line`, if it falls inside a registered window.
+    fn home_node(&self, line: CacheLineAddr) -> Option<usize> {
+        let addr = line.raw();
+        let idx = self
+            .windows
+            .partition_point(|&(start, _, _)| start <= addr)
+            .checked_sub(1)?;
+        let (_, end, node) = self.windows[idx];
+        (addr < end).then_some(node)
+    }
+}
+
+/// A three-level cache hierarchy with DRAM backing, an L1-D MSHR file for
+/// in-flight ASAP prefetches and an optional NUMA topology — the one memory
+/// system of a simulated machine, shared by its cores through
+/// [`SharedFabric`](crate::SharedFabric) handles.
 ///
 /// Timing model: a hit at level *n* costs that level's configured total
 /// latency (Table 5 latencies are load-to-use, not incremental); a full miss
-/// costs the memory latency. Fills install the line in every level (the
+/// costs the memory latency, plus the interconnect hop when the line is
+/// homed on another NUMA node. Fills install the line in every level (the
 /// paper routes ASAP prefetches "into the L1-D", and walker/demand misses
 /// likewise allocate up the hierarchy).
+///
+/// Requests are explicitly timed ([`CacheHierarchy::access_at`]);
+/// [`CacheHierarchy::access`] is the single-requester shorthand that keeps
+/// a private clock and serializes its accesses.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: Cache,
@@ -60,7 +89,11 @@ pub struct CacheHierarchy {
     l3: Cache,
     memory_latency: u64,
     mshrs: MshrFile,
+    /// `None` until [`CacheHierarchy::configure_numa`] — the uniform-memory
+    /// fast path.
+    numa: Option<NumaState>,
     stats: HierarchyStats,
+    /// The clock of [`CacheHierarchy::access`].
     now: u64,
 }
 
@@ -75,36 +108,69 @@ impl CacheHierarchy {
             l3: Cache::new(config.l3, seed ^ 3),
             memory_latency: config.memory_latency,
             mshrs: MshrFile::new(config.mshr_entries),
+            numa: None,
             stats: HierarchyStats::default(),
             now: 0,
         }
     }
 
-    /// The internal clock, advanced by [`CacheHierarchy::access`] and
-    /// [`CacheHierarchy::advance`].
+    /// Spreads DRAM over `config.nodes` memory nodes and registers the
+    /// physical windows `(start_line, lines)` on them round-robin: window k
+    /// is homed on node `k % config.nodes`. Models default
+    /// first-touch-free page placement at datacenter scale: allocation
+    /// classes spread across sockets, so every core ends up with a
+    /// deterministic mix of local and remote windows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on fewer than two nodes — a one-node "topology" is uniform
+    /// memory and must stay on the unconfigured fast path — or when two
+    /// windows overlap.
+    pub fn configure_numa(
+        &mut self,
+        config: NumaConfig,
+        windows: impl IntoIterator<Item = (CacheLineAddr, u64)>,
+    ) {
+        assert!(config.nodes >= 2, "a NUMA topology needs at least 2 nodes");
+        let mut homed: Vec<(u64, u64, usize)> = windows
+            .into_iter()
+            .enumerate()
+            .map(|(k, (start, lines))| (start.raw(), start.raw() + lines, k % config.nodes))
+            .collect();
+        homed.sort_unstable();
+        assert!(
+            homed.windows(2).all(|w| w[0].1 <= w[1].0),
+            "NUMA windows must be disjoint"
+        );
+        self.numa = Some(NumaState {
+            config,
+            windows: homed,
+        });
+    }
+
+    /// The home node of `line`, when NUMA is configured and the line falls
+    /// in a registered window.
     #[must_use]
-    pub fn now(&self) -> u64 {
-        self.now
+    pub fn home_node(&self, line: CacheLineAddr) -> Option<usize> {
+        self.numa.as_ref().and_then(|n| n.home_node(line))
     }
 
-    /// Advances the internal clock (e.g. to account for non-memory work
-    /// between accesses).
-    pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
-    }
-
-    /// Demand access at the internal clock; the clock then advances past the
-    /// access (serialized execution, which is how a page walk behaves).
+    /// Demand access from node 0 at the internal clock; the clock then
+    /// advances past the access (serialized execution, which is how a page
+    /// walk behaves).
     pub fn access(&mut self, line: CacheLineAddr) -> AccessResult {
-        let result = self.access_at(line, self.now);
+        let result = self.access_at(line, self.now, 0);
         self.now += result.latency;
         result
     }
 
-    /// Demand access at an explicit cycle `now` (does not move the internal
-    /// clock). Used by the walk timeline, which interleaves walker progress
-    /// and prefetch completions.
-    pub fn access_at(&mut self, line: CacheLineAddr, now: u64) -> AccessResult {
+    /// Demand access issued at cycle `now` by a core on `node` (does not
+    /// move the internal clock). When the line is served by DRAM and homed
+    /// on a different node, the interconnect hop is added to the latency;
+    /// merged accesses ride the fill already in flight and pay nothing
+    /// extra.
+    // asap-lint: hot-path
+    pub fn access_at(&mut self, line: CacheLineAddr, now: u64, node: usize) -> AccessResult {
         // An in-flight prefetch to the same line absorbs the demand miss.
         if let Some((completion, source)) = self.mshrs.in_flight(line, now) {
             self.stats.mshr_merges += 1;
@@ -115,7 +181,7 @@ impl CacheHierarchy {
                 merged: true,
             };
         }
-        let (latency, served_by) = self.lookup_and_fill(line);
+        let (latency, served_by) = self.lookup_and_fill(line, node);
         AccessResult {
             latency,
             served_by,
@@ -128,7 +194,11 @@ impl CacheHierarchy {
     /// Returns the completion cycle, or `None` if the prefetch was dropped
     /// because no MSHR was available. A prefetch to a line already resident
     /// in L1 is a no-op completing immediately; a prefetch to a line already
-    /// in flight merges with the existing entry.
+    /// in flight merges with the existing entry. The reported completion
+    /// never includes an interconnect hop: a prefetch that lands hides the
+    /// remote latency entirely (that is the point of prefetching); a demand
+    /// access that misses it still pays the hop through
+    /// [`CacheHierarchy::access_at`].
     pub fn prefetch_at(&mut self, line: CacheLineAddr, now: u64) -> Option<u64> {
         // In-flight entries are checked before residency: fills are installed
         // optimistically at issue time, so an in-flight line already appears
@@ -169,65 +239,71 @@ impl CacheHierarchy {
 
     /// Looks `line` up level by level and, on a miss, fills each missed
     /// level at the way its lookup found.
-    fn lookup_and_fill(&mut self, line: CacheLineAddr) -> (u64, ServedBy) {
+    fn lookup_and_fill(&mut self, line: CacheLineAddr, node: usize) -> (u64, ServedBy) {
         let Err(l1) = self.l1.lookup(line) else {
-            self.record(0, true);
+            self.stats.levels[0].record(true);
             return (self.l1.latency(), ServedBy::L1);
         };
-        self.record(0, false);
+        self.stats.levels[0].record(false);
         let Err(l2) = self.l2.lookup(line) else {
-            self.record(1, true);
-            self.l1.fill_at(line, l1);
+            self.stats.levels[1].record(true);
+            self.fill(0, line, l1);
             return (self.l2.latency(), ServedBy::L2);
         };
-        self.record(1, false);
+        self.stats.levels[1].record(false);
         let Err(l3) = self.l3.lookup(line) else {
-            self.record(2, true);
-            self.l1.fill_at(line, l1);
-            self.l2.fill_at(line, l2);
+            self.stats.levels[2].record(true);
+            self.fill(0, line, l1);
+            self.fill(1, line, l2);
             return (self.l3.latency(), ServedBy::L3);
         };
-        self.record(2, false);
+        self.stats.levels[2].record(false);
         self.stats.memory_accesses += 1;
         self.fill_all(line, [l1, l2, l3]);
-        (self.memory_latency, ServedBy::Memory)
+        (
+            self.memory_latency + self.numa_hop(line, node),
+            ServedBy::Memory,
+        )
     }
 
-    fn fill_all(&mut self, line: CacheLineAddr, [l1, l2, l3]: [FillWay; 3]) {
-        self.l1.fill_at(line, l1);
-        self.l2.fill_at(line, l2);
-        self.l3.fill_at(line, l3);
-    }
-
-    fn record(&mut self, level: usize, hit: bool) {
-        let s = &mut self.stats.levels[level];
-        if hit {
-            s.hits += 1;
-        } else {
-            s.misses += 1;
+    /// The interconnect hop a DRAM serve of `line` to `node` pays, counting
+    /// the serve as local or remote when the line is homed.
+    fn numa_hop(&mut self, line: CacheLineAddr, node: usize) -> u64 {
+        let Some(numa) = &self.numa else {
+            return 0;
+        };
+        match numa.home_node(line) {
+            Some(home) if home == node => {
+                self.stats.numa.local_dram += 1;
+                0
+            }
+            Some(_) => {
+                self.stats.numa.remote_dram += 1;
+                numa.config.hop_cycles
+            }
+            None => 0,
         }
     }
 
-    /// Residency probe that disturbs nothing (no fills, no stats).
-    #[must_use]
-    pub fn source_of(&self, line: CacheLineAddr) -> ServedBy {
-        let resident = [&self.l1, &self.l2, &self.l3].map(|c| c.contains(line));
-        self.source(resident).1
+    fn fill_all(&mut self, line: CacheLineAddr, ways: [FillWay; 3]) {
+        for (level, at) in ways.into_iter().enumerate() {
+            self.fill(level, line, at);
+        }
     }
 
-    /// Invalidates a line everywhere.
-    pub fn invalidate(&mut self, line: CacheLineAddr) {
-        self.l1.invalidate(line);
-        self.l2.invalidate(line);
-        self.l3.invalidate(line);
-    }
-
-    /// Empties all levels and the MSHR file (stats preserved).
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.l3.flush();
-        self.mshrs.clear();
+    /// Installs `line` into `level` (0 = L1) at the way `at` a lookup or
+    /// locate of it returned, counting the fill and any eviction.
+    fn fill(&mut self, level: usize, line: CacheLineAddr, at: FillWay) {
+        let cache = match level {
+            0 => &mut self.l1,
+            1 => &mut self.l2,
+            _ => &mut self.l3,
+        };
+        let stats = &mut self.stats.levels[level];
+        stats.fills += 1;
+        if cache.fill_at(line, at).is_some() {
+            stats.evictions += 1;
+        }
     }
 
     /// L2 hit latency — what a cache-resident TLB-block lookup costs.
@@ -242,7 +318,8 @@ impl CacheHierarchy {
     /// for L2 ways with ordinary data, so cache pressure naturally evicts
     /// stale translations.
     pub fn l2_install(&mut self, line: CacheLineAddr) {
-        self.l2.fill(line);
+        let at = self.l2.locate(line);
+        self.fill(1, line, at);
     }
 
     /// Probes the L2 for `line`, updating recency on a hit (a real lookup,
@@ -265,7 +342,7 @@ impl CacheHierarchy {
         self.memory_latency
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics, machine-wide across all cores.
     #[must_use]
     pub fn stats(&self) -> &HierarchyStats {
         &self.stats
@@ -319,7 +396,7 @@ mod tests {
         let completion = h.prefetch_at(line, 0).expect("mshr available");
         assert_eq!(completion, 191);
         // Demand access after completion: plain L1 hit.
-        let r = h.access_at(line, 200);
+        let r = h.access_at(line, 200, 0);
         assert_eq!(r.served_by, ServedBy::L1);
         assert_eq!(r.latency, 4);
         assert!(!r.merged);
@@ -331,7 +408,7 @@ mod tests {
         let line = CacheLineAddr::new(0x41);
         let completion = h.prefetch_at(line, 0).unwrap();
         // Walker arrives at cycle 100 < 191: waits only the residual.
-        let r = h.access_at(line, 100);
+        let r = h.access_at(line, 100, 0);
         assert!(r.merged);
         assert_eq!(r.latency, completion - 100);
         assert_eq!(r.served_by, ServedBy::Memory);
@@ -344,7 +421,7 @@ mod tests {
         let line = CacheLineAddr::new(0x42);
         let completion = h.prefetch_at(line, 0).unwrap();
         // Demand lands 1 cycle before completion: cannot beat an L1 hit.
-        let r = h.access_at(line, completion - 1);
+        let r = h.access_at(line, completion - 1, 0);
         assert!(r.merged);
         assert_eq!(r.latency, 4);
     }
@@ -354,7 +431,7 @@ mod tests {
         let mut h = tiny();
         let line = CacheLineAddr::new(0x43);
         h.access(line); // now resident
-        let now = h.now();
+        let now = 1_000;
         assert_eq!(h.prefetch_at(line, now), Some(now));
         assert_eq!(h.stats().prefetch_fills, 0);
     }
@@ -384,32 +461,38 @@ mod tests {
     #[test]
     fn internal_clock_advances_with_access() {
         let mut h = tiny();
-        assert_eq!(h.now(), 0);
-        h.access(CacheLineAddr::new(1));
-        assert_eq!(h.now(), 191);
-        h.access(CacheLineAddr::new(1));
-        assert_eq!(h.now(), 195);
-        h.advance(5);
-        assert_eq!(h.now(), 200);
+        // A DRAM miss then an L1 hit: the private clock ends at 191 + 4.
+        assert_eq!(h.access(CacheLineAddr::new(1)).latency, 191);
+        assert_eq!(h.access(CacheLineAddr::new(1)).latency, 4);
+        // A prefetch issued at that cycle completes 191 cycles later, so a
+        // demand access at the private clock waits the whole flight...
+        let line = CacheLineAddr::new(2);
+        assert_eq!(h.prefetch_at(line, 195), Some(195 + 191));
+        let r = h.access(line);
+        assert!(r.merged);
+        assert_eq!(r.latency, 191);
+        // ...which moves the clock to the completion: the next access hits.
+        let r = h.access(line);
+        assert!(!r.merged);
+        assert_eq!(r.latency, 4);
     }
 
     #[test]
-    fn source_probe_matches_access() {
+    fn fills_and_evictions_are_counted_per_level() {
         let mut h = tiny();
-        let line = CacheLineAddr::new(77);
-        assert_eq!(h.source_of(line), ServedBy::Memory);
-        h.access(line);
-        assert_eq!(h.source_of(line), ServedBy::L1);
-        h.invalidate(line);
-        assert_eq!(h.source_of(line), ServedBy::Memory);
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut h = tiny();
-        let line = CacheLineAddr::new(5);
-        h.access(line);
-        h.flush();
-        assert_eq!(h.source_of(line), ServedBy::Memory);
+        // Nine lines on one L1 set (16 sets x 4 ways): every level fills
+        // each of them, and the L1 set evicts all but its last four.
+        for i in 0..9u64 {
+            h.access(CacheLineAddr::new(1 + i * 16));
+        }
+        let levels = h.stats().levels;
+        assert_eq!(levels.map(|l| l.fills), [9, 9, 9]);
+        assert_eq!(levels.map(|l| l.evictions), [5, 0, 0]);
+        // An L2-only install is one more L2 fill and nothing else.
+        h.l2_install(CacheLineAddr::new(1 << 62));
+        let after = h.stats().levels;
+        assert_eq!(after.map(|l| l.fills), [9, 10, 9]);
+        assert_eq!(after.map(|l| l.evictions), [5, 0, 0]);
+        assert_eq!(after[1].accesses(), levels[1].accesses());
     }
 }

@@ -15,10 +15,13 @@
 //!   prefetch requests in L1-D's MSHRs");
 //! * a three-level hierarchy plus DRAM ([`CacheHierarchy`]) with the paper's
 //!   Table 5 latencies, attributing every access to the level that served it
-//!   ([`ServedBy`], the raw material of the paper's Figure 9);
-//! * the shared, explicitly-timed multi-core view of that hierarchy
-//!   ([`MemoryFabric`] / [`SharedFabric`]) that N per-core translation
-//!   engines reference when simulating an SMP machine.
+//!   ([`ServedBy`], the raw material of the paper's Figure 9)
+//!   — the machine's one memory system, explicitly timed so N per-core
+//!   translation engines can contend for it, with an optional NUMA
+//!   topology ([`NumaConfig`]) charging an interconnect hop on remote DRAM;
+//! * [`SharedFabric`], the thin per-core handle (`Rc<RefCell<_>>` plus the
+//!   core's NUMA node) through which the cores of an SMP machine reach
+//!   that one hierarchy.
 //!
 //! # Examples
 //!
@@ -50,8 +53,8 @@ mod stats;
 pub use assoc::{Eviction, FillWay, SetAssoc};
 pub use cache::Cache;
 pub use config::{CacheConfig, HierarchyConfig};
-pub use fabric::{MemoryFabric, NumaConfig, NumaStats, SharedFabric, NUMA_HOP_CYCLES};
+pub use fabric::{NumaConfig, SharedFabric, NUMA_HOP_CYCLES};
 pub use hierarchy::{AccessResult, CacheHierarchy, ServedBy};
 pub use mshr::{MshrFile, MshrOutcome};
 pub use replacement::ReplacementKind;
-pub use stats::{CacheStats, HierarchyStats};
+pub use stats::{CacheStats, HierarchyStats, NumaStats};

@@ -41,10 +41,24 @@ impl CacheStats {
     }
 }
 
+/// DRAM-service counters split by locality (managed windows only; lines
+/// outside every registered window — e.g. the legacy co-runner stream or
+/// Victima's synthetic block lines — are treated as node-local). Both stay
+/// zero until NUMA is configured.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NumaStats {
+    /// DRAM serves whose home node matched the requester's.
+    pub local_dram: u64,
+    /// DRAM serves that paid the interconnect hop.
+    pub remote_dram: u64,
+}
+
 /// Statistics for the whole hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
-    /// Per-level stats: L1, L2, L3.
+    /// Per-level stats: L1, L2, L3. Hits and misses count demand lookups
+    /// only; fills and evictions count every install, including prefetch
+    /// fills and L2-only TLB-block installs.
     pub levels: [CacheStats; 3],
     /// Accesses ultimately served by DRAM.
     pub memory_accesses: u64,
@@ -54,6 +68,8 @@ pub struct HierarchyStats {
     pub prefetches_dropped: u64,
     /// Demand accesses that merged with an in-flight prefetch MSHR.
     pub mshr_merges: u64,
+    /// DRAM locality counters.
+    pub numa: NumaStats,
 }
 
 impl Collect for CacheStats {
@@ -77,6 +93,21 @@ impl Collect for CacheStats {
             format!("{prefix}evictions_total"),
             "lines evicted by fills",
             self.evictions,
+        );
+    }
+}
+
+impl Collect for NumaStats {
+    fn collect(&self, prefix: &str, out: &mut MetricSet) {
+        out.counter(
+            format!("{prefix}local_dram_total"),
+            "DRAM serves whose home node matched the requester's",
+            self.local_dram,
+        );
+        out.counter(
+            format!("{prefix}remote_dram_total"),
+            "DRAM serves that paid the interconnect hop",
+            self.remote_dram,
         );
     }
 }
@@ -106,6 +137,7 @@ impl Collect for HierarchyStats {
             "demand accesses merged with an in-flight prefetch MSHR",
             self.mshr_merges,
         );
+        self.numa.collect(&format!("{prefix}numa_"), out);
     }
 }
 

@@ -198,6 +198,8 @@ impl VictimaMmu {
         let entry = *self.blocks.get(&(asid, block))?.get(sub)?;
         let entry = entry?;
         self.core
+            .fabric()
+            .borrow_mut()
             .l2_lookup(Self::block_line(asid, block))
             .then_some(entry)
     }
@@ -216,7 +218,7 @@ impl VictimaMmu {
         }
         let (block, sub) = Self::block_of(vpn);
         let line = Self::block_line(asid, block);
-        let resident = self.core.l2_contains(line);
+        let resident = self.core.fabric().borrow().l2_contains(line);
         let payload = self.blocks.entry((asid, block)).or_default();
         if !resident {
             // The line is not in the L2, so any shadowed payload was lost
@@ -225,7 +227,7 @@ impl VictimaMmu {
             *payload = [None; TLB_BLOCK_PAGES as usize];
         }
         payload[sub] = Some(entry);
-        self.core.l2_install(line);
+        self.core.fabric().borrow_mut().l2_install(line);
         self.stats.blocks_installed += 1;
     }
 
@@ -249,7 +251,7 @@ impl VictimaMmu {
         }
         if let Some(entry) = self.block_lookup(asid, vpn) {
             self.stats.block_hits += 1;
-            let latency = self.core.l2_latency();
+            let latency = self.core.fabric().borrow().l2_latency();
             self.core.advance(latency);
             let now = self.core.now();
             if let Some(t) = self.core.tracer_mut() {

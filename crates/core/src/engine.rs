@@ -23,7 +23,7 @@
 //! [`TranslationEngine`], typically over an embedded [`EngineCore`].
 
 use crate::{prefetch_target, ServedByMatrix, ServedSource, WalkLatencyStats};
-use asap_cache::{AccessResult, HierarchyConfig, HierarchyStats, ServedBy, SharedFabric};
+use asap_cache::{AccessResult, HierarchyConfig, ServedBy, SharedFabric};
 use asap_os::{OsError, Process, VmaDescriptor};
 use asap_telemetry::{Collect, MetricSet, TraceEventKind, TraceSink};
 use asap_tlb::{TlbConfig, TlbEntry, TlbHierarchy, TlbLevel, TlbLookup, TlbStats};
@@ -206,10 +206,12 @@ pub trait TranslationEngine {
 
 /// The **private, per-core** state and plumbing every translation engine
 /// embeds: the L1/L2 TLB hierarchy, the core's local clock, and walk
-/// accounting — plus a handle to the machine's **shared**
-/// [`MemoryFabric`](asap_cache::MemoryFabric) (caches, DRAM, MSHRs),
-/// which N cores of an SMP machine reference through cloned
-/// [`SharedFabric`] handles. Engines add their backend-specific private
+/// accounting — plus a [`SharedFabric`] handle to the machine's **shared**
+/// [`CacheHierarchy`](asap_cache::CacheHierarchy) (caches, DRAM, MSHRs,
+/// NUMA topology), which N cores of an SMP machine reference through
+/// cloned handles; backends reach it through [`EngineCore::fabric`] for
+/// anything beyond the walk, data and prefetch paths below (e.g.
+/// Victima's L2 TLB blocks). Engines add their backend-specific private
 /// structures on top (PWCs, range registers, clustered TLB, TLB-block
 /// shadows, speculation units, ...). Public so out-of-crate backends
 /// (e.g. `asap-contenders`) build on the same plumbing as
@@ -217,9 +219,10 @@ pub trait TranslationEngine {
 /// it.
 ///
 /// Timing model: the core keeps its own cycle counter and stamps it onto
-/// every fabric request, so a single-core machine behaves exactly as when
-/// the hierarchy owned the clock, while multiple cores interleave their
-/// locally-timed requests over one fabric.
+/// every hierarchy request, so a single-core machine serializes its
+/// accesses like [`CacheHierarchy::access`](asap_cache::CacheHierarchy::access),
+/// while multiple cores interleave their locally-timed requests over one
+/// hierarchy.
 #[derive(Debug)]
 pub struct EngineCore {
     /// The L1/L2 TLB hierarchy (per-core private fast path).
@@ -285,10 +288,7 @@ impl EngineCore {
     /// Engines call this from their `collect_metrics` after their own
     /// [`EngineStats`] so every backend emits the same fabric names.
     pub fn collect_fabric_metrics(&self, prefix: &str, out: &mut MetricSet) {
-        self.hierarchy_stats().collect(prefix, out);
-        self.fabric()
-            .numa_stats()
-            .collect(&format!("{prefix}numa_"), out);
+        self.fabric.borrow().stats().collect(prefix, out);
     }
 
     /// The installed tracer, for engines recording backend-specific
@@ -344,7 +344,11 @@ impl EngineCore {
     ) {
         for &level in levels {
             if let Some(target) = prefetch_target(desc, level, va) {
-                let kind = match self.fabric.prefetch_at(target.cache_line(), at) {
+                let done = self
+                    .fabric
+                    .borrow_mut()
+                    .prefetch_at(target.cache_line(), at);
+                let kind = match done {
                     Some(_) => {
                         *issued = issued.saturating_add(1);
                         TraceEventKind::PrefetchIssue
@@ -365,7 +369,7 @@ impl EngineCore {
     /// backend-specific speculative fetch, e.g. Revelator's hashed data
     /// address). Returns the completion cycle, or `None` when dropped.
     pub fn prefetch_line_at(&mut self, line: CacheLineAddr, at: u64) -> Option<u64> {
-        let done = self.fabric.prefetch_at(line, at);
+        let done = self.fabric.borrow_mut().prefetch_at(line, at);
         if let Some(t) = &mut self.tracer {
             t.record(
                 at,
@@ -392,6 +396,7 @@ impl EngineCore {
             } else if r.served_by == ServedBy::Memory
                 && self
                     .fabric
+                    .borrow()
                     .home_node(line)
                     .is_some_and(|home| home != self.fabric.node())
             {
@@ -430,34 +435,6 @@ impl EngineCore {
         let _ = self.fabric.access_at(line, self.clock);
     }
 
-    /// L2 hit latency — what a cache-resident TLB-block lookup costs.
-    #[must_use]
-    pub fn l2_latency(&self) -> u64 {
-        self.fabric.l2_latency()
-    }
-
-    /// Installs `line` into the shared L2 only (Victima TLB-block path).
-    pub fn l2_install(&mut self, line: CacheLineAddr) {
-        self.fabric.l2_install(line);
-    }
-
-    /// Probes the shared L2 for `line`, updating recency on a hit.
-    pub fn l2_lookup(&mut self, line: CacheLineAddr) -> bool {
-        self.fabric.l2_lookup(line)
-    }
-
-    /// Whether the shared L2 currently holds `line` (no side effects).
-    #[must_use]
-    pub fn l2_contains(&self, line: CacheLineAddr) -> bool {
-        self.fabric.l2_contains(line)
-    }
-
-    /// Fabric-wide hierarchy statistics (shared across cores).
-    #[must_use]
-    pub fn hierarchy_stats(&self) -> HierarchyStats {
-        self.fabric.stats()
-    }
-
     /// The core's current cycle count.
     #[must_use]
     pub fn now(&self) -> u64 {
@@ -478,7 +455,7 @@ impl EngineCore {
         self.walk_stats = WalkLatencyStats::new();
         self.walk_faults = 0;
         self.tlbs.reset_stats();
-        self.fabric.reset_stats();
+        self.fabric.borrow_mut().reset_stats();
     }
 }
 

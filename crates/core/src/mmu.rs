@@ -4,7 +4,6 @@ use crate::engine::{EngineCore, EngineOutcome, EngineStats, TranslationEngine, T
 use crate::{
     AsapHwConfig, ClusterSource, MmuConfig, RangeRegisterFile, ServedByMatrix, ServedSource,
 };
-use asap_cache::HierarchyStats;
 use asap_os::Process;
 use asap_pt::{PageTable, RadixSource, SimPhysMem, Translation, WalkSource, MAX_WALK_DEPTH};
 use asap_tlb::{ClusteredTlb, PageWalkCaches, TlbEntry, TlbLevel, TlbStats};
@@ -365,13 +364,6 @@ impl Mmu {
     #[must_use]
     pub fn clustered_stats(&self) -> Option<&TlbStats> {
         self.clustered.as_ref().map(ClusteredTlb::stats)
-    }
-
-    /// Cache-hierarchy statistics (fabric-wide: shared across the cores of
-    /// an SMP machine).
-    #[must_use]
-    pub fn hierarchy_stats(&self) -> HierarchyStats {
-        self.core.hierarchy_stats()
     }
 
     /// Walks that ended in a fault.

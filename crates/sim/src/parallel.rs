@@ -8,7 +8,7 @@
 //! cheap tail instead of landing on an otherwise-drained pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Applies `f` to every item on a pool of host threads, preserving input
 /// order in the output. Each run is internally deterministic (seeded), so
@@ -82,28 +82,38 @@ where
     let next = AtomicUsize::new(0);
     let order = order.as_deref();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|| loop {
+            workers.push(scope.spawn(|| loop {
                 let pos = next.fetch_add(1, Ordering::Relaxed);
                 if pos >= n {
                     break;
                 }
                 let i = order.map_or(pos, |o| o[pos]);
+                // `f` runs outside every slot lock, so no slot can be
+                // poisoned; `into_inner` keeps that from being a panic site.
                 let item = work[i]
                     .lock()
-                    .expect("work slot poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("each slot taken once");
                 let r = f(item);
-                *results[i].lock().expect("result slot poisoned") = Some(r);
-            });
+                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+            }));
+        }
+        // Re-raise a worker's panic with its own payload; left to the
+        // scope, it would surface as a generic "a scoped thread panicked".
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     results
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("result slot poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("all slots filled")
         })
         .collect()
@@ -141,6 +151,15 @@ mod tests {
         let costs: Vec<u64> = items.iter().map(|x| x % 7).collect();
         let out = parallel_map_prioritized(items, &costs, |x| x + 1);
         assert_eq!(out, (1..=64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 13 failed")]
+    fn a_panic_in_f_propagates() {
+        let _ = parallel_map((0..32).collect::<Vec<u32>>(), |x| {
+            assert_ne!(x, 13, "item {x} failed");
+            x
+        });
     }
 
     #[test]

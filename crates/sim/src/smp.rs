@@ -182,7 +182,9 @@ pub(crate) fn run_smp(spec: &RunSpec) -> Result<RunOutput, DriverError> {
                 .windows()
                 .map(|(base, frames)| (frame_line(base), frames << 6))
         });
-        fabric.configure_numa(NumaConfig::symmetric(nodes), windows);
+        fabric
+            .borrow_mut()
+            .configure_numa(NumaConfig::symmetric(nodes), windows);
     }
     let port = |i: usize| fabric.for_node(core_node(i));
     match &spec.engine {
